@@ -23,9 +23,10 @@ from __future__ import annotations
 import importlib
 import re
 import statistics
+import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from spans import Recorder, covered_length, self_intervals, self_times
+from spans import Recorder, self_intervals, self_times, union_length
 
 _TASK_METHODS = ("initiate", "send", "broadcast", "compute", "print",
                  "forcesplit", "export_array", "window", "window_read",
@@ -56,6 +57,7 @@ TARGETS: List[Tuple[Optional[str], str, str, str]] = [
     ("task", "msg.alloc", "repro.core.vm", "allocate_message"),
     ("task", "msg.release", "repro.core.vm", "release_message"),
     ("task", "msg.release", "repro.core.task", "release_message"),
+    ("task", "msg.release", "repro.core.controllers", "release_message"),
     ("accept", "task.accept", "repro.core.task", "TaskContext.accept"),
     ("sizes", "sizes.message_bytes", "repro.core.sizes", "message_bytes"),
     ("sizes", "sizes.message_bytes", "repro.core.messages", "message_bytes"),
@@ -84,11 +86,12 @@ TARGETS: List[Tuple[Optional[str], str, str, str]] = [
     ("store", "store.write", "repro.service.store", "RunStore.create"),
     ("store", "store.write", "repro.service.store", "RunStore.transition"),
     ("store", "store.write", "repro.service.store", "RunStore.amend"),
+    # The store's one write point: every record write goes through it.
+    ("store", "store.atomic_write", "repro.service.store",
+     "_atomic_write_json"),
     ("store", "store.read", "repro.service.store", "RunStore.get"),
     ("store", "store.read", "repro.service.store", "RunStore.list"),
     ("store", "store.read", "repro.service.store", "RunStore.tenants"),
-    ("admission", "admission.select", "repro.service.admission",
-     "AdmissionScheduler.select"),
     ("admission", "admission.check", "repro.service.admission",
      "AdmissionScheduler.check_submit"),
     ("admission", "admission.usage", "repro.service.admission",
@@ -101,6 +104,7 @@ TARGETS: List[Tuple[Optional[str], str, str, str]] = [
 #: Spans wrapped by the custom wrappers in :func:`install`.
 SPECIAL: Dict[str, Optional[str]] = {
     "vm.run": "vm",
+    "admission.select": "admission",
     "tracing.emit": "observers",
     # An emit the tracer filters out (tracing off): the cost of the
     # off switch, kept apart so the observers' share is 0 when off.
@@ -150,6 +154,7 @@ PER_LAYER: List[Tuple[str, str, str]] = [
     ("store.write_ms.mean", "ms", "lower"),
     ("admission.select_calls", "count", "lower"),
     ("admission.select_ms.mean", "ms", "lower"),
+    ("admission.select_cpu_ms.mean", "ms", "lower"),
     ("admission.queue_wait_ms.p50", "ms", "lower"),
     ("executor.exec_ms.p50", "ms", "lower"),
     ("executor.busy_frac", "ratio", "higher"),
@@ -175,6 +180,7 @@ def install(rec: Recorder) -> None:
     boundary accumulate in ``rec.counters`` and ``rec.vm_runs``."""
     from repro.core.tracing import Tracer
     from repro.core.vm import PiscesVM
+    from repro.service.admission import AdmissionScheduler
     from repro.service.rest import _Handler
 
     for name in sorted(LAYER_OF):
@@ -199,6 +205,9 @@ def install(rec: Recorder) -> None:
                 window_cache_hits=st.window_cache_hits,
                 window_txns=st.window_txns,
                 heap_allocs=self.machine.shared.stats.total_allocs,
+                live_messages=sum(
+                    1 for a in self.machine.shared.live_allocations()
+                    if a.tag == "message"),
                 trace_events=len(tr.events) + tr.overflow_dropped,
                 trace_filtered=tr.dropped)
             rec.vm_runs.append((self.config.name, dispatches,
@@ -225,7 +234,21 @@ def install(rec: Recorder) -> None:
             return (read if path in ("/health", "/runs") else one)(self)
         return do_GET
 
+    def make_select(fn):
+        inner = rec.wrap("admission.select", fn)
+
+        def select(self):
+            t0 = time.thread_time_ns()
+            try:
+                return inner(self)
+            finally:
+                # The selecting thread's CPU time: the span's wall
+                # without its waits for the GIL.
+                rec.count(select_cpu_ns=time.thread_time_ns() - t0)
+        return select
+
     rec.patch(PiscesVM, "run", "vm.run", make_run)
+    rec.patch(AdmissionScheduler, "select", "admission.select", make_select)
     rec.patch(Tracer, "emit", "tracing.emit", make_emit)
     rec.patch(_Handler, "do_GET", "rest.get", make_get)
     rec.patch(_Handler, "do_POST", "rest.post")
@@ -233,19 +256,22 @@ def install(rec: Recorder) -> None:
 
 # --------------------------------------------------------------- checks --
 
-def self_checks(rec: Recorder, store_writes: int) -> List[str]:
+def self_checks(rec: Recorder) -> List[str]:
     """Span-derived counts against the program's own counters; returns
     the mismatches (empty when the wrappers saw every call)."""
     c = rec.counters.get
     pairs = [
         ("msg.alloc", c("messages_sent", 0) + 2 * c("window_txns", 0),
          "RunStats.messages_sent + 2 * window_txns"),
+        ("msg.release", rec.calls("msg.alloc") - c("live_messages", 0),
+         "messages allocated - message blocks live when vm.run ends"),
         ("windows.read", c("window_reads", 0), "RunStats.window_reads"),
         ("engine.slice", c("dispatches", 0), "engine.dispatch_count"),
         ("memory.alloc", c("heap_allocs", 0), "HeapStats.total_allocs"),
         ("tracing.emit", c("trace_events", 0), "events kept by the tracer"),
         ("tracing.filtered", c("trace_filtered", 0), "Tracer.dropped"),
-        ("store.write", store_writes, "records written per run record"),
+        ("store.write", rec.calls("store.atomic_write"),
+         "calls of the store's one write point"),
     ]
     bad = [f"{name}: {rec.calls(name)} spans, {want} by {what}"
            for name, want, what in pairs if rec.calls(name) != want]
@@ -276,43 +302,38 @@ def _mean(xs: Sequence[float]) -> float:
     return statistics.fmean(xs) if xs else 0.0
 
 
-def layer_metrics(rec: Recorder, *, begin: float, end: float, n_ops: int,
-                  op_wall_s: float, store_writes: int) -> Dict[str, float]:
+def layer_metrics(rec: Recorder, *, windows: Sequence[Tuple[float, float]],
+                  n_ops: int, op_wall_s: float) -> Dict[str, float]:
     """Per-layer metrics of one traced phase.
 
-    ``n_ops`` ops ran between ``begin`` and ``end`` (perf_counter
-    seconds) with ``op_wall_s`` summed op wall; ``store_writes`` is the
-    record writes the run records account for.  Counts and
-    ``*.self_ms`` are per op; ``*.share`` is self time over summed op
-    wall; ``other.share`` is the part of the phase's wall no layer's
-    self time covers on any thread.
+    ``n_ops`` ops ran in the ``(begin, end)`` perf_counter ``windows``
+    with ``op_wall_s`` summed op wall.  Counts and ``*.self_ms`` are per
+    op; ``*.share`` is self time over summed op wall; ``other.share`` is
+    the part of the windows' wall no layer's self time covers on any
+    thread.
     """
-    import numpy as np
-
+    end = windows[-1][1]
     names = rec.names
     counted = [LAYER_OF.get(n) is not None for n in names]
     timed = [n in _TIMED for n in names]
     self_by_name: Dict[str, float] = {}
     durs: Dict[str, List[float]] = {}
-    piece_s, piece_e = [], []
+    pieces: List[Tuple[float, float]] = []
     # Parents are always on the span's own thread, so each thread's
     # spans are reduced on their own.
     for name, start, stop, parent in rec.thread_arrays(until=end):
         name, start, stop, parent = (
             a.tolist() for a in (name, start, stop, parent))
-        same = [0] * len(name)
-        for nid, s in zip(name, self_times(start, stop, parent, same)):
+        for nid, s in zip(name, self_times(start, stop, parent)):
             n = names[nid]
             self_by_name[n] = self_by_name.get(n, 0.0) + s
         for nid, s, e in zip(name, start, stop):
             if timed[nid]:
                 durs.setdefault(names[nid], []).append(e - s)
-        pieces = self_intervals(start, stop, parent, same,
-                                lambda i: counted[name[i]])
-        piece_s.append(np.clip([p[0] for p in pieces], begin, end))
-        piece_e.append(np.clip([p[1] for p in pieces], begin, end))
-    covered = covered_length(np.concatenate(piece_s or [[]]),
-                             np.concatenate(piece_e or [[]]))
+        pieces += self_intervals(start, stop, parent,
+                                 lambda i: counted[name[i]])
+    covered = sum(union_length((max(s, w0), min(e, w1)) for s, e in pieces)
+                  for w0, w1 in windows)
     layer_self: Dict[str, float] = {}
     for n, s in self_by_name.items():
         layer = LAYER_OF.get(n)
@@ -340,6 +361,7 @@ def layer_metrics(rec: Recorder, *, begin: float, end: float, n_ops: int,
         return sum(durs.get(span_name, ()))
 
     run_wall = total("vm.run")
+    selects = rec.calls("admission.select")
     return {
         "mmos.dispatches": per_op(c("dispatches", 0)),
         "mmos.dispatches_per_s": c("dispatches", 0) / run_wall
@@ -376,15 +398,17 @@ def layer_metrics(rec: Recorder, *, begin: float, end: float, n_ops: int,
         "catalog.builds_per_run": per_op(rec.calls("catalog.build")),
         "catalog.build_ms.mean": mean_ms("catalog.build"),
         "fortran.preprocess_ms.mean": mean_ms("fortran.preprocess"),
-        "store.writes_per_run": per_op(store_writes),
+        "store.writes_per_run": per_op(rec.calls("store.write")),
         "store.write_ms.mean": mean_ms("store.write"),
         "admission.select_calls": per_op(rec.calls("admission.select")),
         "admission.select_ms.mean": mean_ms("admission.select"),
+        "admission.select_cpu_ms.mean": c("select_cpu_ns", 0) / 1e6
+        / selects if selects else 0.0,
         "rest.post_ms.p50": p50_ms("rest.post"),
         "rest.get_ms.p50": p50_ms("rest.get"),
         "rest.read_ms.p50": p50_ms("rest.read"),
         "rest.requests_per_run": per_op(rec.calls("rest.post")
                                         + rec.calls("rest.get")
                                         + rec.calls("rest.read")),
-        "other.share": 1.0 - covered / (end - begin),
+        "other.share": 1.0 - covered / sum(w1 - w0 for w0, w1 in windows),
     }

@@ -121,18 +121,17 @@ def traced(wl, seconds: float, spans_path: Path):
         phase = wl.run_phase(seconds / 2, MIN_TRACE_OPS)
     finally:
         rec.uninstall()
-    writes = wl.store_writes(phase)
-    problems = layers.self_checks(rec, writes)
+    problems = layers.self_checks(rec)
     metrics = layers.layer_metrics(
-        rec, begin=phase.begin, end=phase.end, n_ops=len(phase.ops),
-        op_wall_s=sum(o.wall_s for o in phase.ops), store_writes=writes)
+        rec, windows=phase.windows, n_ops=len(phase.ops),
+        op_wall_s=sum(o.wall_s for o in phase.ops))
     metrics.update(wl.record_metrics(plain))
     p50_plain, _ = _ms_quantiles([o.wall_s for o in plain.good])
     p50_traced, _ = _ms_quantiles([o.wall_s for o in phase.good])
     metrics["tracing.overhead_frac"] = (p50_traced / p50_plain - 1.0
                                         if p50_plain else 0.0)
     spans_path.parent.mkdir(parents=True, exist_ok=True)
-    rec.save(spans_path, until=phase.end)
+    rec.save(spans_path, until=phase.windows[-1][1])
     return plain.ops + phase.ops, metrics, problems
 
 

@@ -232,30 +232,15 @@ def union_length(intervals: Iterable[Tuple[float, float]]) -> float:
     return total
 
 
-def covered_length(starts, ends) -> float:
-    """:func:`union_length` of many intervals given as two arrays."""
-    import numpy as np
-
-    starts = np.asarray(starts, dtype=np.float64)
-    ends = np.asarray(ends, dtype=np.float64)
-    if not len(starts):
-        return 0.0
-    order = np.argsort(starts, kind="stable")
-    s, e = starts[order], ends[order]
-    # Each interval adds what reaches past every earlier interval's end.
-    before = np.maximum.accumulate(np.concatenate(([-np.inf], e[:-1])))
-    return float(np.clip(e - np.maximum(s, before), 0.0, None).sum())
-
-
 def self_times(start: Sequence[float], end: Sequence[float],
-               parent: Sequence[int], thread: Sequence[int]) -> List[float]:
+               parent: Sequence[int]) -> List[float]:
     """Each span's duration minus the union of its children's intervals
-    (clipped to the span) on the same thread.  A child recorded on
-    another thread -- work the span caused elsewhere -- does not reduce
-    it: that thread's wall time is its own."""
+    (clipped to the span).  The spans are one thread's: a span a thread
+    caused on another thread is that thread's root, so it never reduces
+    the span that caused it."""
     kids: Dict[int, List[int]] = {}
     for i, p in enumerate(parent):
-        if p >= 0 and thread[p] == thread[i]:
+        if p >= 0:
             kids.setdefault(int(p), []).append(i)
     out = [float(end[i] - start[i]) for i in range(len(start))]
     for p, children in kids.items():
@@ -266,14 +251,13 @@ def self_times(start: Sequence[float], end: Sequence[float],
 
 
 def self_intervals(start: Sequence[float], end: Sequence[float],
-                   parent: Sequence[int], thread: Sequence[int],
-                   keep: Callable[[int], bool]
+                   parent: Sequence[int], keep: Callable[[int], bool]
                    ) -> List[Tuple[float, float]]:
-    """The pieces of the kept spans' intervals not covered by their own
-    children on the same thread (their self time, as intervals)."""
+    """The pieces of one thread's kept spans not covered by their own
+    children (their self time, as intervals)."""
     kids: Dict[int, List[Tuple[float, float]]] = {}
     for i, p in enumerate(parent):
-        if p >= 0 and thread[p] == thread[i] and keep(int(p)):
+        if p >= 0 and keep(int(p)):
             kids.setdefault(int(p), []).append((start[i], end[i]))
     pieces: List[Tuple[float, float]] = []
     for i in range(len(start)):

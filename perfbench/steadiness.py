@@ -1,13 +1,13 @@
 """Run every workload on fresh seeds, twice, and record how steady the
 end-to-end metrics are.
 
-    python3 perfbench/steadiness.py --seeds 1001-1010 --sets 2 \
+    python3 perfbench/steadiness.py --seeds 1001-1010 \
         --out perfbench/steadiness.json
 
 For each set, workload and metric it records the ten values, their
 median and the distance between the first and third quartiles
 (``statistics.quantiles(values, n=4)``) as a share of the median; for
-the second set on, also the shift of the median from the first set's.
+the second set, also the shift of the median from the first set's.
 Runs go one at a time, in seed order, workload by workload.
 """
 
@@ -20,6 +20,8 @@ import time
 from pathlib import Path
 
 HERE = Path(__file__).resolve().parent
+#: Sets of runs of the same code whose medians are compared.
+SETS = 2
 
 
 def _seeds(text: str):
@@ -57,17 +59,14 @@ def main() -> int:
     spec = json.loads((HERE.parent / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     ap.add_argument("--seeds", required=True, help="e.g. 1001-1010")
-    ap.add_argument("--sets", type=int, default=2)
-    ap.add_argument("--workloads", default=",".join(
-        w["name"] for w in spec["workloads"]))
     ap.add_argument("--out", required=True)
     args = ap.parse_args()
     names = [m["name"] for m in spec["end_to_end"]]
     bounds = {m["name"]: m["bound"] for m in spec["end_to_end"]}
     sets = []
-    for k in range(args.sets):
+    for k in range(SETS):
         per_wl = {}
-        for wl in args.workloads.split(","):
+        for wl in (w["name"] for w in spec["workloads"]):
             runs = [run_once(wl, s, spec["run_seconds"])
                     for s in _seeds(args.seeds)]
             summary = summarize(runs, names)

@@ -16,8 +16,8 @@ sys.path.insert(0, str(HERE.parent / "src"))
 
 import layers  # noqa: E402
 import run  # noqa: E402
-from spans import (Recorder, covered_length, self_intervals,  # noqa: E402
-                   self_times, union_length)
+from spans import (Recorder, self_intervals, self_times,  # noqa: E402
+                   union_length)
 
 
 class TickClock:
@@ -39,51 +39,30 @@ def test_union_length_merges_overlaps_and_skips_empty():
     assert union_length([(0, 10), (2, 3)]) == 10.0
 
 
-def test_covered_length_agrees_with_union_length():
-    import random
-
-    rng = random.Random(3)
-    for _ in range(50):
-        ivs = [(a, a + rng.random()) for a in
-               (rng.random() * 5 for _ in range(rng.randrange(1, 20)))]
-        s, e = zip(*ivs)
-        assert covered_length(s, e) == pytest.approx(union_length(ivs))
-    assert covered_length([], []) == 0.0
-
-
 def test_nested_spans_subtract_children_only():
     # parent [0,10] > child [2,5] > grandchild [3,4]
     start, end = [0, 2, 3], [10, 5, 4]
-    parent, thread = [-1, 0, 1], [0, 0, 0]
-    assert self_times(start, end, parent, thread) == [7.0, 2.0, 1.0]
+    assert self_times(start, end, [-1, 0, 1]) == [7.0, 2.0, 1.0]
 
 
 def test_sibling_spans_subtract_their_union():
     start, end = [0, 1, 4], [10, 3, 6]
-    assert self_times(start, end, [-1, 0, 0], [0, 0, 0])[0] == 6.0
+    assert self_times(start, end, [-1, 0, 0])[0] == 6.0
     # Overlapping siblings are not subtracted twice.
     start, end = [0, 1, 3], [10, 5, 7]
-    assert self_times(start, end, [-1, 0, 0], [0, 0, 0])[0] == 4.0
+    assert self_times(start, end, [-1, 0, 0])[0] == 4.0
 
 
 def test_child_is_clipped_to_its_parent():
-    assert self_times([0, 3], [5, 8], [-1, 0], [0, 0])[0] == 3.0
-
-
-def test_cross_thread_child_does_not_cut_parent_self_time():
-    # A span on thread 1 caused by thread 0's span: both threads' wall
-    # is their own, so the parent keeps its whole duration.
-    start, end = [0, 2], [10, 8]
-    assert self_times(start, end, [-1, 0], [0, 1]) == [10.0, 6.0]
+    assert self_times([0, 3], [5, 8], [-1, 0])[0] == 3.0
 
 
 def test_self_intervals_are_the_gaps_between_children():
     start, end = [0, 2, 6], [10, 4, 7]
-    pieces = self_intervals(start, end, [-1, 0, 0], [0, 0, 0],
-                            keep=lambda i: i == 0)
+    pieces = self_intervals(start, end, [-1, 0, 0], keep=lambda i: i == 0)
     assert pieces == [(0, 2), (4, 6), (7, 10)]
     assert sum(e - s for s, e in pieces) == \
-        self_times(start, end, [-1, 0, 0], [0, 0, 0])[0]
+        self_times(start, end, [-1, 0, 0])[0]
 
 
 # -------------------------------------------------------------- recorder --
@@ -102,11 +81,13 @@ def test_recorder_nests_calls_on_one_thread():
     assert parent == [-1, 0, 0]
     assert rec.calls("inner") == 2
     # outer: [1, 6], inners: [2, 3] and [4, 5].
-    assert self_times(start, end, parent, thread) == [3.0, 1.0, 1.0]
+    assert self_times(start, end, parent) == [3.0, 1.0, 1.0]
 
 
-def test_each_thread_keeps_its_own_stack():
-    rec = Recorder()
+def test_cross_thread_child_does_not_cut_parent_self_time():
+    # A span on another thread, caused by this thread's span, is that
+    # thread's root: both threads' wall is their own.
+    rec = Recorder(clock=TickClock())
     inner = rec.wrap("inner", lambda: None)
 
     def body():
@@ -120,8 +101,9 @@ def test_each_thread_keeps_its_own_stack():
     by_name = {rec.names[n]: i for i, n in enumerate(name)}
     o, i = by_name["outer"], by_name["inner"]
     assert parent[i] == -1 and thread[i] != thread[o]
-    selfs = self_times(start, end, parent, thread)
-    assert selfs[o] == end[o] - start[o]
+    per_thread = [self_times(*(a.tolist() for a in arrays[1:]))
+                  for arrays in rec.thread_arrays(until=1e9)]
+    assert per_thread == [[3.0], [1.0]]
 
 
 def test_generator_spans_cover_resumes_not_suspensions():
@@ -196,26 +178,32 @@ def test_wrapped_run_matches_program_counters_and_output():
         rec.uninstall()
     assert traced.value == plain.value == [4, 5, 6, 7]
     assert traced.elapsed == plain.elapsed
-    assert layers.self_checks(rec, store_writes=0) == []
+    assert layers.self_checks(rec) == []
     assert rec.calls("engine.slice") == traced.vm.engine.dispatch_count
 
 
-def test_a_wrapper_missing_at_a_call_site_shows_as_a_mismatch():
-    import repro.core.vm as vm_mod
+@pytest.mark.parametrize("module, attr, span", [
+    ("repro.core.vm", "allocate_message", "msg.alloc"),
+    ("repro.core.controllers", "release_message", "msg.release"),
+])
+def test_a_wrapper_missing_at_a_call_site_shows_as_a_mismatch(
+        module, attr, span):
+    import importlib
 
+    mod = importlib.import_module(module)
     rec = Recorder()
     layers.install(rec)
-    # Undo only the call-site binding in repro.core.vm, as if the
-    # wrapper had been bound at repro.core.messages alone.
-    traced = vm_mod.allocate_message
-    vm_mod.allocate_message = traced.__wrapped__
+    # Undo only this call-site binding, as if the wrapper had been
+    # bound at the defining module alone.
+    traced = getattr(mod, attr)
+    setattr(mod, attr, traced.__wrapped__)
     try:
         _small_pipeline_op()
     finally:
-        vm_mod.allocate_message = traced
+        setattr(mod, attr, traced)
         rec.uninstall()
-    problems = layers.self_checks(rec, store_writes=0)
-    assert any(p.startswith("msg.alloc:") for p in problems)
+    problems = layers.self_checks(rec)
+    assert any(p.startswith(f"{span}:") for p in problems)
 
 
 def test_benchmark_json_lists_every_printed_metric():

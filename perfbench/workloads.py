@@ -52,11 +52,12 @@ class Op:
 
 @dataclass
 class Phase:
-    """A closed-loop phase: its ops and its wall window."""
+    """A closed-loop phase: its ops and the wall windows it timed."""
 
     ops: List[Op]
-    begin: float          # perf_counter seconds
-    end: float
+    #: perf_counter ``(begin, end)`` of each timed stretch; service
+    #: restarts between stretches are not timed.
+    windows: List[Tuple[float, float]]
     wall_s: float         # timed-phase wall for throughput
     records: List[Dict[str, Any]] = field(default_factory=list)
 
@@ -125,10 +126,7 @@ class LibWorkload:
             except PiscesError as e:
                 ops.append(Op(0.0, False, f"{type(e).__name__}: {e}"))
         end = time.perf_counter()
-        return Phase(ops, begin, end, end - begin)
-
-    def store_writes(self, phase: Phase) -> int:
-        return 0
+        return Phase(ops, [(begin, end)], end - begin)
 
     def record_metrics(self, phase: Phase) -> Dict[str, float]:
         return {"admission.queue_wait_ms.p50": 0.0,
@@ -194,6 +192,12 @@ TENANT_OUTSTANDING = 8
 POLL_S = 0.01
 #: Terminal runs in the history svc_history boots over.
 HISTORY_RUNS = 2000
+#: Runs one service life takes (warm-up included) before the client
+#: drains it and starts a fresh service over a fresh copy of the
+#: workload's store.  Nothing deletes a run, so this keeps the history
+#: every admission decision walks the same size however fast the
+#: program runs: at most this many runs beyond the seeded history.
+RUNS_PER_SERVICE = 150
 
 
 def _value_repr(value: Any) -> str:
@@ -204,7 +208,7 @@ def _value_repr(value: Any) -> str:
 
 class SvcWorkload:
     """The run service under a closed loop of catalog runs; as is, the
-    ``svc_mix`` workload (a fresh store)."""
+    ``svc_mix`` workload (a fresh, empty store for each service)."""
 
     operator_reads = False
 
@@ -217,6 +221,7 @@ class SvcWorkload:
         self.outstanding = self.n_workers + 4
         self.reps = 0
         self.server = self.svc = self.client = None
+        self.life_runs = 0            # runs submitted to this service
         self._order: deque = deque()
         self._read_turn = 0
         self.axes_seen: set = set()
@@ -232,14 +237,19 @@ class SvcWorkload:
         self.reps += 1
         self.root = self.work_dir / f"store{self.reps}"
 
-    def setup(self) -> None:
+    def _start(self) -> None:
         self.svc = RunService(self.root, n_workers=self.n_workers)
         self.svc.start()
         self.server, self.thread = serve(self.svc, "127.0.0.1", 0)
         self.client = ServiceClient(self.server.url, timeout=60.0)
+        self.life_runs = 0
+
+    def setup(self) -> None:
+        self._start()
         # Warm-up: every app of the mix once, checked.
         ids = [(self.client.submit(spec, tenant=TENANTS[i % 3])["run_id"], i)
                for i, spec in enumerate(MIX)]
+        self.life_runs = len(ids)
         for rid, i in ids:
             rec = self.client.wait(rid, timeout=120.0, poll=POLL_S)
             op = self._check(rec, rec["submitted_at"], i)
@@ -291,21 +301,43 @@ class SvcWorkload:
         self._read_turn += 1
 
     def run_phase(self, seconds: float, min_ops: int) -> Phase:
+        """Service lives of :data:`RUNS_PER_SERVICE` runs until the
+        deadline; each life is timed from its first ``POST`` to its last
+        ``finished_at``, and the restarts between lives are not."""
+        ops: List[Op] = []
+        records: List[Dict[str, Any]] = []
+        windows: List[Tuple[float, float]] = []
+        wall = 0.0
+        deadline = time.time() + seconds
+        while time.time() < deadline or len(ops) < min_ops:
+            if self.life_runs >= RUNS_PER_SERVICE:
+                self.teardown()
+                self.prepare()
+                self._start()
+            begin = time.perf_counter()
+            first_post = time.time()
+            last_finish = self._life(deadline, min_ops, ops, records)
+            windows.append((begin, time.perf_counter()))
+            wall += last_finish - first_post
+        return Phase(ops, windows, wall, records)
+
+    def _life(self, deadline: float, min_ops: int, ops: List[Op],
+              records: List[Dict[str, Any]]) -> float:
+        """The closed loop on this service until it has taken its runs
+        or the deadline passed, then drained; returns the last run's
+        ``finished_at``."""
         c = self.client
         pending: deque = deque()
         by_tenant: Dict[str, int] = {}
-        ops: List[Op] = []
-        records: List[Dict[str, Any]] = []
-        begin = time.perf_counter()
-        first_post = time.time()
-        deadline = first_post + seconds
-        last_finish = first_post
+        last_finish = time.time()
         while True:
-            while len(pending) < self.outstanding and (
-                    time.time() < deadline
-                    or len(ops) + len(pending) < min_ops):
+            while len(pending) < self.outstanding \
+                    and self.life_runs < RUNS_PER_SERVICE and (
+                        time.time() < deadline
+                        or len(ops) + len(pending) < min_ops):
                 i, tenant = self._next(by_tenant)
                 t_post = time.time()
+                self.life_runs += 1
                 try:
                     rid = c.submit(MIX[i], tenant=tenant)["run_id"]
                 except PiscesError as e:          # refused: an error
@@ -327,15 +359,7 @@ class SvcWorkload:
             last_finish = max(last_finish, rec.get("finished_at") or 0.0)
             if self.operator_reads:
                 self._operator_read()
-        end = time.perf_counter()
-        return Phase(ops, begin, end, last_finish - first_post, records)
-
-    def store_writes(self, phase: Phase) -> int:
-        """Record writes the store made for the phase's runs, from the
-        records themselves: create, ADMITTED, RUNNING and the terminal
-        transition, plus one amend per checkpoint resume."""
-        return sum(4 + (1 if r.get("resumed_from") else 0)
-                   for r in phase.records)
+        return last_finish
 
     def record_metrics(self, phase: Phase) -> Dict[str, float]:
         """Admission and executor metrics from the run records alone."""
