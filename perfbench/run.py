@@ -24,10 +24,12 @@ import platform  # noqa: E402
 import resource  # noqa: E402
 import shutil  # noqa: E402
 import statistics  # noqa: E402
+import subprocess  # noqa: E402
 import sys  # noqa: E402
 from pathlib import Path  # noqa: E402
 
-ROOT = Path(__file__).resolve().parent.parent
+HERE = Path(__file__).resolve().parent
+ROOT = HERE.parent
 OUT = ROOT / ".perfbench"
 
 def pin_to_one_cpu():
@@ -49,9 +51,12 @@ def pin_to_one_cpu():
     return cpu
 
 
-#: Setup repetitions per run; ``setup_s`` reports the import time plus
-#: their median.
-SETUP_REPS = 3
+#: Setup repetitions per run, and import timings per run (this
+#: process's own and fresh interpreters' on the same CPU); ``setup_s``
+#: is the median import time plus the median setup.  One import timing
+#: swings with the host as much as the whole setup does.
+SETUP_REPS = 5
+IMPORT_REPS = 5
 #: p90 needs at least ten ops beyond it.
 MIN_OPS = 100
 #: Ops each half of a traced run makes at least.
@@ -88,6 +93,20 @@ def _cpu_model() -> str:
     except OSError:
         pass
     return platform.processor() or "unknown"
+
+
+def import_times(first: float):
+    """``first`` (this process's import time) and the import times of
+    ``IMPORT_REPS - 1`` fresh interpreters loading the same modules."""
+    code = ("import time; t = time.perf_counter(); import sys; "
+            f"sys.path[:0] = [{str(HERE)!r}, {str(ROOT / 'src')!r}]; "
+            "import workloads; print(time.perf_counter() - t)")
+    times = [first]
+    for _ in range(IMPORT_REPS - 1):
+        p = subprocess.run([sys.executable, "-c", code], check=True,
+                           capture_output=True, text=True, timeout=120)
+        times.append(float(p.stdout))
+    return times
 
 
 def _ms_quantiles(walls):
@@ -160,22 +179,23 @@ def main(argv=None) -> int:
               f"{', '.join(workloads.WORKLOADS)}", file=sys.stderr)
         return 2
     t_imported = time.perf_counter()
+    imports = import_times(t_imported - T_START)
 
     tag = f"{args.workload}-seed{args.seed}-trace{args.trace}"
     work = OUT / "work" / f"{tag}-{os.getpid()}"
     work.mkdir(parents=True, exist_ok=True)
     try:
+        t = time.perf_counter()
         wl = workloads.WORKLOADS[args.workload](args.seed, work)
-        t_ready = time.perf_counter()
+        construct_s = time.perf_counter() - t
         reps = []
         for i in range(SETUP_REPS):
             if i:
                 wl.teardown()
-            wl.prepare()
             t = time.perf_counter()
             wl.setup()
             reps.append(time.perf_counter() - t)
-        setup_s = (t_imported - T_START) + statistics.median(reps)
+        setup_s = statistics.median(imports) + statistics.median(reps)
         try:
             if args.trace:
                 ops, metrics, problems = traced(
@@ -218,7 +238,8 @@ def main(argv=None) -> int:
                  "platform": platform.platform()},
         "commit": _git_commit(),
         "axes": [dict(zip(workloads.AXES, a)) for a in sorted(wl.axes_seen)],
-        "setup_reps_s": reps, "construct_s": t_ready - t_imported,
+        "import_s": imports, "setup_reps_s": reps,
+        "construct_s": construct_s,
         "error_rate": len(failed) / max(len(ops), 1),
     }
     (OUT / "results").mkdir(parents=True, exist_ok=True)

@@ -13,6 +13,9 @@ exists and which layer it isolates.
 
 from __future__ import annotations
 
+import hashlib
+import inspect
+import json
 import os
 import random
 import shutil
@@ -104,9 +107,6 @@ class LibWorkload:
                                    f"{self.expected}")
         return Op(wall, True)
 
-    def prepare(self) -> None:
-        pass
-
     def setup(self) -> None:
         """The warm-up op (checked like any other)."""
         warm = self.op()
@@ -192,11 +192,15 @@ TENANT_OUTSTANDING = 8
 POLL_S = 0.01
 #: Terminal runs in the history svc_history boots over.
 HISTORY_RUNS = 2000
+#: Where the generated history is kept between runs in one checkout.
+HISTORY_CACHE = (Path(__file__).resolve().parent.parent / ".perfbench"
+                 / "history")
 #: Runs one service life takes (warm-up included) before the client
-#: drains it and starts a fresh service over a fresh copy of the
-#: workload's store.  Nothing deletes a run, so this keeps the history
-#: every admission decision walks the same size however fast the
-#: program runs: at most this many runs beyond the seeded history.
+#: drains it, prunes the store back to the workload's history and
+#: starts a fresh service over it.  Nothing in the service deletes a
+#: run, so this keeps the history every admission decision walks the
+#: same size however fast the program runs: at most this many runs
+#: beyond the seeded history.
 RUNS_PER_SERVICE = 150
 
 
@@ -208,18 +212,19 @@ def _value_repr(value: Any) -> str:
 
 class SvcWorkload:
     """The run service under a closed loop of catalog runs; as is, the
-    ``svc_mix`` workload (a fresh, empty store for each service)."""
+    ``svc_mix`` workload (an empty store for each service)."""
 
     operator_reads = False
 
     def __init__(self, seed: int, work_dir: Path) -> None:
         self.seed = seed
         self.rng = random.Random(seed)
-        self.work_dir = work_dir
+        self.root = work_dir / "store"
+        #: Run ids of the seeded history: the runs a pruned store keeps.
+        self.history: set = set()
         self.n_workers = len(os.sched_getaffinity(0))
         #: More runs outstanding than workers: the queue never drains.
         self.outstanding = self.n_workers + 4
-        self.reps = 0
         self.server = self.svc = self.client = None
         self.life_runs = 0            # runs submitted to this service
         self._order: deque = deque()
@@ -231,11 +236,6 @@ class SvcWorkload:
             r = standalone_run(RunSpec.from_dict(spec))
             self.ref.append((int(r.elapsed), _value_repr(r.value),
                              _axes(run_manifest(r.vm))))
-
-    def prepare(self) -> None:
-        """Untimed, before each setup: a fresh store (empty here)."""
-        self.reps += 1
-        self.root = self.work_dir / f"store{self.reps}"
 
     def _start(self) -> None:
         self.svc = RunService(self.root, n_workers=self.n_workers)
@@ -262,8 +262,16 @@ class SvcWorkload:
             self.server.server_close()
             self.thread.join(timeout=10.0)
             self.svc.stop()
-            shutil.rmtree(self.svc.root, ignore_errors=True)
+            self._prune()
         self.server = self.svc = self.client = None
+
+    def _prune(self) -> None:
+        """Remove every run the service lives added, leaving the store
+        as the next service would find it fresh: the history only."""
+        runs = self.root / "runs"
+        for d in runs.iterdir() if runs.is_dir() else ():
+            if d.name not in self.history:
+                shutil.rmtree(d, ignore_errors=True)
 
     def _next(self, pending_by_tenant: Dict[str, int]) -> Tuple[int, str]:
         """The seeded mix order (rounds of a shuffled mix) and tenant."""
@@ -312,7 +320,6 @@ class SvcWorkload:
         while time.time() < deadline or len(ops) < min_ops:
             if self.life_runs >= RUNS_PER_SERVICE:
                 self.teardown()
-                self.prepare()
                 self._start()
             begin = time.perf_counter()
             first_post = time.time()
@@ -386,11 +393,31 @@ class SvcHistory(SvcWorkload):
 
     def __init__(self, seed: int, work_dir: Path) -> None:
         super().__init__(seed, work_dir)
-        # The history is the workload's input: generated once, through
-        # the store's own API, and copied for each setup.
-        self.template = work_dir / "history"
-        store = RunStore(self.template)
-        rng = random.Random(self.seed + 1)
+        template = self._history_template()
+        shutil.copytree(template, self.root)
+        self.history = {d.name for d in (self.root / "runs").iterdir()}
+
+    def _history_template(self) -> Path:
+        """The history, generated through the store's own API and kept
+        under :data:`HISTORY_CACHE`; later runs in the checkout copy it.
+
+        It is a fixed input, the same for every seed, and it is keyed
+        by what shapes its records: the store and spec sources, the mix
+        and its reference results, so a change to any of them makes a
+        new one.
+        """
+        h = hashlib.sha256()
+        for cls in (RunStore, RunSpec):
+            h.update(Path(inspect.getsourcefile(cls)).read_bytes())
+        h.update(json.dumps([HISTORY_RUNS, TENANTS, MIX, self.ref],
+                            sort_keys=True).encode())
+        template = HISTORY_CACHE / h.hexdigest()[:16]
+        if template.is_dir():
+            return template
+        tmp = HISTORY_CACHE / f"{template.name}.tmp{os.getpid()}"
+        shutil.rmtree(tmp, ignore_errors=True)
+        store = RunStore(tmp)
+        rng = random.Random(0)
         specs = [RunSpec.from_dict(s) for s in MIX]
         for k in range(HISTORY_RUNS):
             i = rng.randrange(len(MIX))
@@ -402,10 +429,8 @@ class SvcHistory(SvcWorkload):
                              exit={"outcome": "done",
                                    "elapsed_ticks": self.ref[i][0],
                                    "value": self.ref[i][1]})
-
-    def prepare(self) -> None:
-        super().prepare()
-        shutil.copytree(self.template, self.root)
+        os.replace(tmp, template)
+        return template
 
 
 WORKLOADS = {
