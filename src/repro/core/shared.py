@@ -228,9 +228,16 @@ class SharedCommonBlock:
         two VMs at the same schedule position must agree bit-for-bit on
         every SHARED COMMON byte)."""
         import zlib
-        # adler32 reads the array buffer directly; no tobytes() copy.
-        return {var: zlib.adler32(np.ascontiguousarray(arr).data)
-                for var, arr in sorted(self._vars.items())}
+
+        def digest(arr: np.ndarray) -> int:
+            if arr.dtype == object:
+                # TASKID cells hold references: digest the values, not
+                # the pointers (which differ from process to process).
+                return zlib.adler32(repr(arr.tolist()).encode("utf-8"))
+            # adler32 reads the array buffer directly; no tobytes() copy.
+            return zlib.adler32(np.ascontiguousarray(arr).data)
+
+        return {var: digest(arr) for var, arr in sorted(self._vars.items())}
 
 
 @dataclass
