@@ -33,7 +33,7 @@ DEFAULT_ACCEPT_DELAY = 1_000_000
 #: names missing from it (so a new reader cannot slip in undocumented),
 #: and the test suite asserts each entry appears in the manual's table.
 ENV_VARS: Dict[str, str] = {
-    "PISCES_EXEC_CORE": "execution core: threaded (oracle) or coop",
+    "PISCES_EXEC_CORE": "execution core: coop (default) or threaded (oracle)",
     "PISCES_DISPATCHER": "dispatch picker: indexed, scan or replay",
     "PISCES_TASK_BODIES": "task-body vehicle: auto or callable",
     "PISCES_WINDOW_PATH": "window data plane: fast, batched or reference",
@@ -182,11 +182,11 @@ class Configuration:
     #: environment variable, then to "fast".  Every path is bit-identical
     #: in virtual time (see docs/architecture.md).
     window_path: str = ""
-    #: Execution-core selection: "threaded" (one OS thread per process,
-    #: the determinism oracle) or "coop" (single-threaded discrete-event
-    #: loop; coroutine bodies dispatch by function call).  "" defers to
-    #: the ``PISCES_EXEC_CORE`` environment variable, then to
-    #: "threaded".  Both cores are bit-identical in virtual time and
+    #: Execution-core selection: "coop" (single-threaded discrete-event
+    #: loop; coroutine bodies dispatch by function call) or "threaded"
+    #: (one OS thread per process, the determinism oracle).  "" defers
+    #: to the ``PISCES_EXEC_CORE`` environment variable, then to
+    #: "coop".  Both cores are bit-identical in virtual time and
     #: dispatch order (see docs/architecture.md, "Execution cores").
     exec_core: str = ""
     #: Task-body vehicle: "auto" lets coroutine-style bodies (generator

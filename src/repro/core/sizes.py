@@ -22,6 +22,9 @@ from typing import Any
 
 import numpy as np
 
+from .taskid import TaskId
+from .windows import Window, WindowTxn, WindowTxnReply
+
 # ------------------------------------------------------------- sizes ------
 
 #: A taskid is <cluster number, slot number, unique number> (section 6).
@@ -99,9 +102,16 @@ def packed_size(value: Any) -> int:
     windows their struct sizes, arrays their raw bytes, sequences the sum
     of their elements.
     """
-    from .taskid import TaskId          # local import to avoid a cycle
-    from .windows import Window, WindowTxn, WindowTxnReply
+    # Exact types only: bool and IntEnum are int subclasses and take
+    # the general path.
+    t = type(value)
+    if t is int or t is float:
+        return 8
+    return _packed_size_general(value)
 
+
+def _packed_size_general(value: Any) -> int:
+    """:func:`packed_size` by ``isinstance`` dispatch, for every type."""
     if isinstance(value, WindowTxn):
         # The window descriptor, op/generation words, and the payload.
         return (WINDOW_BYTES + 16

@@ -21,6 +21,7 @@ terminal output.
 from __future__ import annotations
 
 import inspect
+import weakref
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, List, Optional, Tuple, TYPE_CHECKING, Union
 
@@ -67,6 +68,23 @@ if TYPE_CHECKING:  # pragma: no cover
 #: A HANDLER subroutine: called as ``handler(ctx, *message_args)``.
 Handler = Callable[..., Any]
 
+#: :meth:`TaskType.estimate_code_bytes` results by code object identity.
+#: A registry rebuilt per run (every service run) re-registers the same
+#: bodies, and reading their source dominated registry builds.  Entries
+#: hold the code object weakly, so code compiled per program (the Pisces
+#: Fortran preprocessor's output) does not pile up.
+_CODE_BYTES: Dict[int, Tuple["weakref.ref[Any]", int]] = {}
+
+
+def _remember_code_bytes(code: Any, nbytes: int) -> None:
+    key = id(code)
+
+    def forget(ref: "weakref.ref[Any]") -> None:
+        if _CODE_BYTES.get(key, (None,))[0] is ref:
+            del _CODE_BYTES[key]
+
+    _CODE_BYTES[key] = (weakref.ref(code, forget), nbytes)
+
 
 @dataclass
 class TaskType:
@@ -90,11 +108,21 @@ class TaskType:
     @staticmethod
     def estimate_code_bytes(fn: Callable) -> int:
         """Loadfile contribution of a tasktype: its source size (a
-        stand-in for compiled object code size)."""
+        stand-in for compiled object code size).  ``inspect.getsource``
+        depends only on the (unwrapped) function's code object, so the
+        result is memoised per code object."""
+        code = getattr(inspect.unwrap(fn), "__code__", None)
+        hit = _CODE_BYTES.get(id(code))
+        if hit is not None and hit[0]() is code:
+            return hit[1]
         try:
-            return max(DEFAULT_TASKTYPE_CODE_BYTES // 2, len(inspect.getsource(fn)))
+            nbytes = max(DEFAULT_TASKTYPE_CODE_BYTES // 2,
+                         len(inspect.getsource(fn)))
         except (OSError, TypeError):
-            return DEFAULT_TASKTYPE_CODE_BYTES
+            nbytes = DEFAULT_TASKTYPE_CODE_BYTES
+        if code is not None:
+            _remember_code_bytes(code, nbytes)
+        return nbytes
 
 
 class TaskRegistry:
@@ -194,13 +222,14 @@ class Task:
 
     def trace(self, etype: TraceEventType, info: str = "",
               other: Optional[TaskId] = None) -> None:
-        eng = self.vm.engine
-        pe = (eng.current().pe if eng.in_process()
-              else self.cluster.primary_pe)
+        p = self.vm.engine.caller()
+        if p is None:
+            pe = self.cluster.primary_pe
+            ticks = self.vm.machine.clocks[pe].ticks
+        else:
+            pe, ticks = p.pe, p.slice_start + p.pending_cost
         self.vm.tracer.emit(TraceEvent(
-            etype=etype, task=self.tid, pe=pe,
-            ticks=self.vm.machine.clocks[pe].ticks
-            if not eng.in_process() else eng.now(),
+            etype=etype, task=self.tid, pe=pe, ticks=ticks,
             info=info, other=other))
 
     def describe(self) -> str:

@@ -125,18 +125,6 @@ def resolve_window_path(config: Configuration) -> str:
     return path
 
 
-def resolve_exec_core(config: Configuration) -> str:
-    """Execution-core selection: configuration wins, then the
-    ``PISCES_EXEC_CORE`` environment variable, then "threaded" (the
-    determinism oracle; see docs/architecture.md, "Execution cores")."""
-    from ..mmos.scheduler import EXEC_CORES
-    core = config.exec_core or env_value("PISCES_EXEC_CORE") or "threaded"
-    if core not in EXEC_CORES:
-        raise ConfigurationError(
-            f"PISCES_EXEC_CORE={core!r}: must be one of {EXEC_CORES}")
-    return core
-
-
 #: Valid task-body vehicles (see Configuration.task_bodies).
 TASK_BODY_MODES = ("auto", "callable")
 
@@ -253,12 +241,13 @@ class PiscesVM:
             schedule = (Schedule.load(replay)
                         if isinstance(replay, (str, os.PathLike))
                         else replay)
-        #: Which execution core runs the processes ("threaded"/"coop");
-        #: stamped into the export_run manifest and state dumps.
-        self.exec_core = resolve_exec_core(config)
         self.kernel = MMOSKernel(self.machine, time_limit=config.time_limit,
-                                 schedule=schedule, exec_core=self.exec_core)
+                                 schedule=schedule,
+                                 exec_core=config.exec_core)
         self.engine = self.kernel.engine
+        #: Which execution core runs the processes ("coop"/"threaded");
+        #: stamped into the export_run manifest and state dumps.
+        self.exec_core = self.engine.exec_core
         if recorder is not None:
             # Explicit recorder wins over the PISCES_RECORD_SCHEDULE env
             # default the engine may have installed.

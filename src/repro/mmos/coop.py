@@ -39,7 +39,7 @@ import threading
 import time
 from typing import Any, List, Optional
 
-from ..errors import NotInProcess, ProcessKilled
+from ..errors import ProcessKilled
 from .process import KernelOp, KernelProcess, ProcState
 from .scheduler import Engine
 
@@ -201,20 +201,12 @@ class CoopEngine(Engine):
 
     # ---------------------------------------------------- process-side ----
 
-    def current(self) -> KernelProcess:
+    def caller(self) -> Optional[KernelProcess]:
         p = self._current
         if p is not None and p.gen is not None:
-            if self._gen_runner == threading.get_ident():
-                return p
-            raise NotInProcess(
-                "kernel call from outside a simulated process")
-        return super().current()
-
-    def in_process(self) -> bool:
-        p = self._current
-        if p is not None and p.gen is not None:
-            return self._gen_runner == threading.get_ident()
-        return super().in_process()
+            # A coroutine body runs on the thread driving the loop.
+            return p if self._gen_runner == threading.get_ident() else None
+        return super().caller()
 
     # --------------------------------------------------------- shutdown --
 

@@ -43,13 +43,14 @@ Orthogonal to the dispatcher, two **execution cores** decide how a
 granted process actually runs its slice (``PISCES_EXEC_CORE``, or the
 :func:`create_engine` factory):
 
+* ``coop`` (default; :class:`repro.mmos.coop.CoopEngine`) -- a
+  single-threaded discrete-event loop: coroutine bodies are resumed by
+  a plain function call (no OS context switch on the hot path),
+  callable bodies fall back to a pinned worker thread with a raw-lock
+  handoff;
 * ``threaded`` (this module's :class:`Engine`, the determinism oracle)
   -- every process body runs in its own OS thread; a dispatch is a
-  grant-event wake plus a thread park;
-* ``coop`` (:class:`repro.mmos.coop.CoopEngine`) -- a single-threaded
-  discrete-event loop: coroutine bodies are resumed by a plain
-  function call (no OS context switch on the hot path), callable
-  bodies fall back to a pinned worker thread with a raw-lock handoff.
+  grant-event wake plus a thread park.
 
 Both cores share this module's picker, hooks and slice bookkeeping, so
 virtual timestamps, dispatch order and trace streams are bit-identical
@@ -109,8 +110,10 @@ def _live_dispatcher_for(schedule: Any) -> str:
 
 
 def default_exec_core() -> str:
-    """Execution core used when the caller does not choose one."""
-    c = env_value("PISCES_EXEC_CORE", "threaded")
+    """Execution core used when the caller does not choose one:
+    ``PISCES_EXEC_CORE``, then ``coop``.  Every entry point (the VM,
+    the service, the CLI) resolves an empty choice here."""
+    c = env_value("PISCES_EXEC_CORE", "coop")
     if c not in EXEC_CORES:
         raise ValueError(
             f"PISCES_EXEC_CORE={c!r}: must be one of {EXEC_CORES}")
@@ -122,7 +125,7 @@ def create_engine(machine: FlexMachine, time_limit: Optional[int] = None,
                   schedule: Optional[Any] = None,
                   exec_core: Optional[str] = None) -> "Engine":
     """Build an engine for ``exec_core`` (default: ``PISCES_EXEC_CORE``,
-    then ``threaded``).  This is the one place that knows which class
+    then ``coop``).  This is the one place that knows which class
     implements which core; the VM and benchmarks go through it."""
     if not exec_core:
         exec_core = default_exec_core()
@@ -432,16 +435,22 @@ class Engine:
 
     # ---------------------------------------------------- process-side ----
 
+    def caller(self) -> Optional[KernelProcess]:
+        """The process whose thread is calling, or None if external."""
+        p = self._current
+        if p is not None and p.thread is threading.current_thread():
+            return p
+        return None
+
     def current(self) -> KernelProcess:
         """The process whose thread is calling; raises if external."""
-        p = self._current
-        if p is None or p.thread is not threading.current_thread():
+        p = self.caller()
+        if p is None:
             raise NotInProcess("kernel call from outside a simulated process")
         return p
 
     def in_process(self) -> bool:
-        p = self._current
-        return p is not None and p.thread is threading.current_thread()
+        return self.caller() is not None
 
     def now(self) -> int:
         """Current virtual time as seen by the caller.
@@ -449,8 +458,8 @@ class Engine:
         Inside a process: slice start + ticks charged so far.  Outside
         (the monitor, between runs): the global elapsed time.
         """
-        if self.in_process():
-            p = self._current
+        p = self.caller()
+        if p is not None:
             return p.slice_start + p.pending_cost
         return max(self._now, self.machine.clocks.elapsed())
 

@@ -52,7 +52,9 @@ def main(argv=None) -> int:
                     help="fair-share DRR quantum in PEs (default 8)")
     ap.add_argument("--exec-core", default="",
                     choices=("", "threaded", "coop"),
-                    help="default execution core for submitted runs")
+                    help="default execution core for submitted runs "
+                         "(empty: PISCES_EXEC_CORE, then coop; threaded "
+                         "is the oracle)")
     ap.add_argument("--window-path", default="",
                     choices=("", "fast", "batched", "reference"))
     ap.add_argument("--task-bodies", default="",

@@ -49,10 +49,10 @@ class TestCoreSelection:
 
     def test_env_var_sets_default(self, monkeypatch):
         monkeypatch.delenv("PISCES_EXEC_CORE", raising=False)
-        assert default_exec_core() == "threaded"
-        monkeypatch.setenv("PISCES_EXEC_CORE", "coop")
         assert default_exec_core() == "coop"
-        assert type(create_engine(small_flex(8))) is CoopEngine
+        monkeypatch.setenv("PISCES_EXEC_CORE", "threaded")
+        assert default_exec_core() == "threaded"
+        assert type(create_engine(small_flex(8))) is Engine
         monkeypatch.setenv("PISCES_EXEC_CORE", "nope")
         with pytest.raises(ValueError, match="PISCES_EXEC_CORE"):
             default_exec_core()

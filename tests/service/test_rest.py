@@ -1,6 +1,7 @@
 """The REST control plane end to end over a real HTTP socket."""
 
 import json
+import time
 import urllib.request
 
 import pytest
@@ -11,12 +12,21 @@ from repro.service.client import ServiceClient
 
 QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
 SLOW = {"app": "spin", "params": {"rounds": 400000, "ticks_per_round": 10}}
+HOLD = {"app": "spin", "params": {"rounds": 10**9, "ticks_per_round": 10}}
+
+
+def _wait_running(client, run_id):
+    deadline = time.monotonic() + 30
+    while client.get_run(run_id)["state"] != "RUNNING":
+        assert time.monotonic() < deadline, f"{run_id} never ran"
+        time.sleep(0.02)
 
 
 @pytest.fixture
 def stack(tmp_path):
     svc = RunService(tmp_path / "store", n_workers=2,
-                     quotas={"bob": TenantQuota(max_queued=1)}).start()
+                     quotas={"bob": TenantQuota(max_running=1,
+                                                max_queued=1)}).start()
     server, thread = serve(svc)
     yield svc, server
     server.shutdown()
@@ -106,6 +116,11 @@ class TestErrorMapping:
     def test_429_over_quota(self, stack):
         _, server = stack
         bob = ServiceClient(server.url, tenant="bob")
+        # Fill bob's one running slot with a run that outlives the test
+        # (teardown kills it), so the next run is held waiting however
+        # fast the host is.
+        hold = bob.submit(HOLD)
+        _wait_running(bob, hold["run_id"])
         bob.submit(SLOW)
         with pytest.raises(QuotaExceeded):
             bob.submit(SLOW)

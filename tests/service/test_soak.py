@@ -64,6 +64,8 @@ ZOO = [
 
 TENANTS = ("alice", "bob", "carol")
 
+QUICK = {"app": "spin", "params": {"rounds": 5, "ticks_per_round": 10}}
+
 
 def wait_all(svc, run_ids, timeout=300.0):
     deadline = time.monotonic() + timeout
@@ -92,19 +94,23 @@ def test_soak_three_tenants_twelve_runs_bit_identical(tmp_path):
         assert len(submitted) == 12
 
         # --- over-quota tenant is refused with QuotaExceeded ----------
+        # dave's one running slot is filled first, so his next run is
+        # held waiting however fast the zoo drains.
         slow = {"app": "spin", "params": {"rounds": 500000}}
         dave_rec = svc.submit("dave", slow)
-        with pytest.raises(QuotaExceeded):
-            svc.submit("dave", slow)
-
-        # --- kill endpoint terminates dave's live run cleanly ---------
         deadline = time.monotonic() + 120
         while svc.get_run(dave_rec.run_id).state != RUNNING:
             assert time.monotonic() < deadline
             time.sleep(0.02)
+        dave_waiting = svc.submit("dave", QUICK)
+        with pytest.raises(QuotaExceeded):
+            svc.submit("dave", slow)
+
+        # --- kill endpoint terminates dave's live run cleanly ---------
         svc.kill(dave_rec.run_id)
 
-        wait_all(svc, [rid for rid, _ in submitted] + [dave_rec.run_id])
+        wait_all(svc, [rid for rid, _ in submitted]
+                 + [dave_rec.run_id, dave_waiting.run_id])
 
         killed = svc.get_run(dave_rec.run_id)
         assert killed.state == KILLED
