@@ -76,16 +76,6 @@ Handler = Callable[..., Any]
 _CODE_BYTES: Dict[int, Tuple["weakref.ref[Any]", int]] = {}
 
 
-def _remember_code_bytes(code: Any, nbytes: int) -> None:
-    key = id(code)
-
-    def forget(ref: "weakref.ref[Any]") -> None:
-        if _CODE_BYTES.get(key, (None,))[0] is ref:
-            del _CODE_BYTES[key]
-
-    _CODE_BYTES[key] = (weakref.ref(code, forget), nbytes)
-
-
 @dataclass
 class TaskType:
     """A tasktype definition.
@@ -121,7 +111,11 @@ class TaskType:
         except (OSError, TypeError):
             nbytes = DEFAULT_TASKTYPE_CODE_BYTES
         if code is not None:
-            _remember_code_bytes(code, nbytes)
+            key = id(code)
+            # The callback runs before the id can be reused.
+            _CODE_BYTES[key] = (
+                weakref.ref(code, lambda _: _CODE_BYTES.pop(key, None)),
+                nbytes)
         return nbytes
 
 
