@@ -116,7 +116,9 @@ class FaultInjector:
         not themselves injected faults.
         """
         vm = self.vm
-        now = vm.engine.now()
+        # Window transfer costs reach the clocks as numpy integers; the
+        # event stream is JSON, so pin the timestamp to a plain int.
+        now = int(vm.engine.now())
         ev = FaultEvent(at=now, seq=self._seq, kind=kind, detail=detail)
         self._seq += 1
         self.events.append(ev)

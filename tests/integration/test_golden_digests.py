@@ -2,8 +2,9 @@
 
 Cross-leg agreement (threaded vs coop, auto vs callable) cannot see a
 change that moves every leg at once.  This check can: for each app of
-the zoo at test sizes, and each Pisces Fortran library program, it
-compares three sha256 digests against ``golden_digests.json``:
+the zoo at test sizes, each Pisces Fortran library program, and the
+chaos, replay and checkpoint scenarios below, it compares three sha256
+digests against ``golden_digests.json``:
 
 * ``trace`` -- the full trace stream (every event type), line by line;
 * ``dispatch`` -- the dispatch stream: ``(pe, start, end, process)``
@@ -11,6 +12,18 @@ compares three sha256 digests against ``golden_digests.json``:
 * ``state`` -- :func:`repro.checkpoint.snapshot.snapshot_state` at run
   end (clocks, scheduling state, in-queues, SHARED COMMON, arrays,
   RNG, run statistics).
+
+Runs under a fault plan also digest the fault-event stream
+(``faults``).  The scenarios beyond the app zoo:
+
+* ``chaos_*`` -- the fault-tolerant Jacobi solver under
+  ``test_chaos.CRASH_PLAN`` with restart and with reassignment, under
+  the lossy transport plan, and the delay-only soak of one zoo app;
+* ``replay_jacobi_windows`` -- a recorded run; its replay must
+  reproduce the recording's golden;
+* ``ckpt_plain`` / ``ckpt_faulty`` -- the two scenarios of
+  ``_ckpt_runner.py``, uninterrupted; a run restored from a mid-run
+  checkpoint must reproduce the same golden.
 
 The goldens were generated on the threaded core.  They are asserted on
 the default core and on ``exec_core="threaded"``.  To regenerate after
@@ -30,10 +43,19 @@ from pathlib import Path
 import pytest
 
 from repro.apps import fortran_programs
+from repro.apps.chaos_jacobi import build_chaos_registry
+from repro.apps.jacobi import build_windows_registry
+from repro.checkpoint import restore_vm
+from repro.checkpoint.format import load_bundle
 from repro.checkpoint.snapshot import snapshot_state
+from repro.config.configuration import ClusterSpec, Configuration
 from repro.core.tracing import TraceEventType
 from repro.core.vm import PiscesVM
+from repro.correctness import ScheduleRecorder
+from repro.faults import RESTART, FaultPlan
 from repro.flex.presets import small_flex
+from tests.integration import _ckpt_runner as ckpt_runner
+from tests.integration.test_chaos import CRASH_PLAN, LOSSY, delay_plan
 from tests.properties.test_dispatch_equivalence import APP_CASES
 
 GOLDEN_PATH = Path(__file__).with_name("golden_digests.json")
@@ -66,6 +88,34 @@ def _sha(text: str) -> str:
     return hashlib.sha256(text.encode("utf-8")).hexdigest()
 
 
+def _digests(vm, elapsed: int) -> dict:
+    """The golden record of a finished run (``vm.engine.record_slices``
+    must have been on from the start)."""
+    dispatch = {"count": vm.engine.dispatch_count,
+                "slices": [[int(pe), int(start), int(end), name]
+                           for pe, start, end, name in vm.engine.slices]}
+    out = {
+        "elapsed": int(elapsed),
+        "dispatches": vm.engine.dispatch_count,
+        "trace": _sha("\n".join(e.line() for e in vm.tracer.events)),
+        "dispatch": _sha(json.dumps(dispatch)),
+        "state": _sha(json.dumps(snapshot_state(vm), sort_keys=True)),
+    }
+    if vm.faults is not None:
+        assert vm.faults.events, "the fault plan must fire"
+        out["faults"] = _sha(vm.faults.export_jsonl())
+    return out
+
+
+def _run_digests(vm, tasktype, *args) -> dict:
+    vm.engine.record_slices = True
+    try:
+        r = vm.run(tasktype, *args)
+        return _digests(vm, r.elapsed)
+    finally:
+        vm.shutdown()
+
+
 def app_digests(app: str, exec_core: str = "") -> dict:
     """Run ``app`` once on ``exec_core`` ("" = the default) and digest
     its trace stream, dispatch stream and end-of-run state."""
@@ -73,42 +123,167 @@ def app_digests(app: str, exec_core: str = "") -> dict:
     config = dataclasses.replace(config, exec_core=exec_core,
                                  trace_events=_ALL_EVENTS)
     vm = PiscesVM(config, registry=registry, machine=machine)
-    vm.engine.record_slices = True
+    return _run_digests(vm, tasktype, *args)
+
+
+# ---------------------------------------------------------------- chaos --
+
+def _chaos_jacobi(plan, supervision=None, on_death="abort"):
+    def build():
+        registry = build_chaos_registry(10, 2, 3, supervision, on_death,
+                                        8_000, 60_000, 200)
+        config = Configuration(clusters=(ClusterSpec(1, 3, 4),
+                                         ClusterSpec(2, 4, 4)),
+                               name="chaos-jacobi")
+        return registry, config, "CMASTER", (), plan
+    return build
+
+
+def _delay_soak(app, protected):
+    def build():
+        registry, config, tasktype, args = APP_CASES[app]()
+        return registry, config, tasktype, args, delay_plan(1, protected)
+    return build
+
+
+CHAOS = {
+    "chaos_crash_restart": _chaos_jacobi(
+        CRASH_PLAN, RESTART(3, backoff_ticks=500), "reassign"),
+    "chaos_crash_reassign": _chaos_jacobi(CRASH_PLAN, None, "reassign"),
+    "chaos_lossy": _chaos_jacobi(
+        FaultPlan(seed=7, messages=LOSSY, name="lossy")),
+    "chaos_delay_soak_jacobi_windows": _delay_soak("jacobi_windows",
+                                                   ("WIN",)),
+}
+
+
+def chaos_digests(name: str, exec_core: str = "") -> dict:
+    registry, config, tasktype, args, plan = CHAOS[name]()
+    config = dataclasses.replace(config, exec_core=exec_core,
+                                 trace_events=_ALL_EVENTS)
+    vm = PiscesVM(config, registry=registry, fault_plan=plan)
+    return _run_digests(vm, tasktype, *args)
+
+
+# --------------------------------------------------------------- replay --
+
+REPLAY = "replay_jacobi_windows"
+
+
+def _replay_vm(exec_core, **kw):
+    config = Configuration(clusters=(ClusterSpec(1, 3, 4),
+                                     ClusterSpec(2, 4, 4)),
+                           name="replay-jacobi-w", exec_core=exec_core,
+                           trace_events=_ALL_EVENTS)
+    return PiscesVM(config, registry=build_windows_registry(10, 2, 3), **kw)
+
+
+def replay_digests(exec_core: str = ""):
+    """Record a jacobi-windows run, then replay it: returns the digests
+    of the recording and of the replay."""
+    recorder = ScheduleRecorder()
+    recorded = _run_digests(_replay_vm(exec_core, recorder=recorder),
+                            "JMASTER")
+    schedule = recorder.as_schedule()
+    replayed = _run_digests(_replay_vm(exec_core, replay=schedule),
+                            "JMASTER")
+    schedule.check_complete()
+    return recorded, replayed
+
+
+# ----------------------------------------------------------- checkpoint --
+
+CKPT = ("plain", "faulty")
+
+
+def _ckpt_vm(scenario, exec_core, ckpt_dir=""):
+    config = dataclasses.replace(ckpt_runner.config(exec_core, ckpt_dir),
+                                 trace_events=_ALL_EVENTS,
+                                 checkpoint_keep=10_000)
+    return PiscesVM(config, registry=ckpt_runner.registry(),
+                    fault_plan=ckpt_runner.plan(scenario, host_kill=False))
+
+
+def ckpt_reference_digests(scenario: str, exec_core: str = "") -> dict:
+    """The uninterrupted run of a ``_ckpt_runner`` scenario."""
+    return _run_digests(_ckpt_vm(scenario, exec_core), "CMASTER")
+
+
+def ckpt_restored_digests(scenario: str, ckpt_dir: Path,
+                          exec_core: str = "") -> dict:
+    """Run the scenario with periodic checkpoints, then restore the last
+    bundle written before ``_ckpt_runner.KILL_AT`` (where the soak's
+    victim dies) and resume it to the end."""
+    vm = _ckpt_vm(scenario, exec_core, str(ckpt_dir))
+    vm.run("CMASTER")
+    bundles = sorted(ckpt_dir.glob("*.pckpt"))
+    marks = [(load_bundle(b)[0]["now"], b) for b in bundles]
+    early = [b for now, b in marks if now <= ckpt_runner.KILL_AT]
+    assert early, f"no checkpoint before tick {ckpt_runner.KILL_AT}"
+    rr = restore_vm(early[-1], registry=ckpt_runner.registry())
+    rr.vm.engine.record_slices = True
     try:
-        r = vm.run(tasktype, *args)
-        dispatch = {"count": vm.engine.dispatch_count,
-                    "slices": [[int(pe), int(start), int(end), name]
-                               for pe, start, end, name in vm.engine.slices]}
-        return {
-            "elapsed": int(r.elapsed),
-            "dispatches": vm.engine.dispatch_count,
-            "trace": _sha("\n".join(e.line() for e in vm.tracer.events)),
-            "dispatch": _sha(json.dumps(dispatch)),
-            "state": _sha(json.dumps(snapshot_state(vm), sort_keys=True)),
-        }
+        res = rr.resume()
+        return _digests(rr.vm, res.elapsed)
     finally:
-        vm.shutdown()
+        rr.vm.shutdown()
+
+
+def all_goldens(exec_core: str) -> dict:
+    goldens = {app: app_digests(app, exec_core) for app in sorted(CASES)}
+    goldens.update({name: chaos_digests(name, exec_core) for name in CHAOS})
+    goldens[REPLAY] = replay_digests(exec_core)[0]
+    goldens.update({f"ckpt_{s}": ckpt_reference_digests(s, exec_core)
+                    for s in CKPT})
+    return goldens
 
 
 def load_goldens() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def test_goldens_cover_every_app():
-    assert sorted(load_goldens()) == sorted(CASES)
+def test_goldens_cover_every_scenario():
+    assert sorted(load_goldens()) == sorted(
+        [*CASES, *CHAOS, REPLAY, *(f"ckpt_{s}" for s in CKPT)])
 
 
-@pytest.mark.parametrize("exec_core", ["", "threaded"],
-                         ids=["default", "threaded"])
+CORES = pytest.mark.parametrize("exec_core", ["", "threaded"],
+                                ids=["default", "threaded"])
+
+
+@CORES
 @pytest.mark.parametrize("app", sorted(CASES))
 def test_app_matches_golden_digests(app, exec_core):
     assert app_digests(app, exec_core) == load_goldens()[app]
 
 
+@CORES
+@pytest.mark.parametrize("name", sorted(CHAOS))
+def test_chaos_matches_golden_digests(name, exec_core):
+    assert chaos_digests(name, exec_core) == load_goldens()[name]
+
+
+@CORES
+def test_replay_reproduces_recording_golden(exec_core):
+    recorded, replayed = replay_digests(exec_core)
+    golden = load_goldens()[REPLAY]
+    assert recorded == golden
+    assert replayed == golden
+
+
+@CORES
+@pytest.mark.parametrize("scenario", CKPT)
+def test_restored_run_matches_uninterrupted_golden(scenario, exec_core,
+                                                   tmp_path):
+    golden = load_goldens()[f"ckpt_{scenario}"]
+    assert ckpt_reference_digests(scenario, exec_core) == golden
+    assert ckpt_restored_digests(scenario, tmp_path, exec_core) == golden
+
+
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    goldens = {app: app_digests(app, "threaded") for app in sorted(CASES)}
+    goldens = all_goldens("threaded")
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True)
                            + "\n")
     print(f"wrote {len(goldens)} digests to {GOLDEN_PATH}")
