@@ -6,10 +6,9 @@ controller; every hook is guarded so that a plan-less run takes none of
 them.  This benchmark proves it two ways:
 
 * **history identity** -- each workload of the engine-throughput
-  benchmark, re-run today with no plan, replays the *bit-identical*
-  virtual time and dispatch count recorded in the committed
-  ``BENCH_engine_throughput.json`` baseline (written before the fault
-  layer existed);
+  benchmark, re-run today with no plan on the indexed leg, replays the
+  *bit-identical* virtual time and dispatch count recorded in the
+  committed ``BENCH_engine_throughput.json`` baseline;
 * **wall-clock** -- the largest scheduler-stress configuration must not
   regress more than 5% against the baseline's wall time (best of 3).
 
@@ -51,7 +50,8 @@ def test_no_plan_is_bit_identical_to_baseline(report):
               f"{'baseline':>9} {'verdict':>10}")
     report(header)
     report("-" * len(header))
-    for workload, size, runner, params in eng_bench._sizes():
+    matrix = eng_bench._matrix(SMOKE)
+    for workload, size, runner, params, _legs, _trials in matrix:
         wall, dispatches, vt = runner("indexed")
         if compare_baseline:
             base = by_key[(workload, size)]
@@ -77,7 +77,9 @@ def test_no_plan_is_bit_identical_to_baseline(report):
     wall_row = None
     if compare_baseline:
         base = by_key[("sched_stress", "large")]
-        best = min(eng_bench._sizes()[1][2]("indexed")[0] for _ in range(3))
+        stress = next(m[2] for m in matrix
+                      if m[:2] == ("sched_stress", "large"))
+        best = min(stress("indexed")[0] for _ in range(3))
         ratio = best / base["indexed"]["wall_s"]
         wall_row = {"workload": "sched_stress", "size": "large",
                     "wall_s_best_of_3": round(best, 4),

@@ -40,7 +40,7 @@ CHAOS_PLAN = dump_plan(FaultPlan(
 
 JACOBI = {"app": "jacobi", "params": {"n": 16, "sweeps": 3}}
 MATMUL = {"app": "matmul", "params": {"n": 10, "n_workers": 2},
-          "exec_core": "coop"}
+          "task_bodies": "callable"}
 CHAOS = {"app": "chaos_jacobi",
          "params": {"n": 12, "sweeps": 2, "on_death": "reassign"},
          "fault_plan": CHAOS_PLAN}

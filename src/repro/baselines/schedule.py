@@ -23,7 +23,7 @@ from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 from ..errors import PiscesError
 from ..flex.machine import FlexMachine
 from ..flex.presets import small_flex
-from ..mmos.scheduler import Engine
+from ..mmos.scheduler import create_engine
 
 #: Scheduling overhead charged per unit dispatch (comparable in spirit
 #: to the PISCES initiate/message costs).
@@ -161,7 +161,7 @@ class ScheduleRunner:
             (n for n, k in indeg.items() if k == 0),
             key=lambda n: (-(units[n].level + units[n].cost), n))
         remaining = len(units)
-        engine = Engine(self.machine)
+        engine = create_engine(self.machine)
         idle_workers: List[Any] = []
         state = {"remaining": remaining}
 

@@ -10,7 +10,7 @@ from typing import Callable, Dict, Optional, Sequence
 
 from ..flex.machine import FlexMachine
 from ..flex.presets import small_flex
-from ..mmos.scheduler import Engine
+from ..mmos.scheduler import create_engine
 from .schedule import ScheduleProgram
 
 
@@ -19,7 +19,7 @@ def run_serial_ticks(costs: Sequence[int],
     """Execute work items of the given tick costs serially on one PE;
     returns the elapsed virtual time."""
     m = machine or small_flex()
-    eng = Engine(m)
+    eng = create_engine(m)
     pe = m.mmos_pes()[0]
 
     def body() -> None:

@@ -200,14 +200,15 @@ def build_manifest(vm) -> Dict[str, Any]:
         "dispatch_seq": int(eng._dispatch_seq),
         "app": {"tasktype": name, "args": list(run_args),
                 "placement": _placement_to_json(placement)},
-        # The config is serialized with its core/path choices already
+        # The config is serialized with its window path already
         # resolved, so a bundle written by a restored run (whose config
-        # was forced to the resolved values) is byte-identical to the
+        # was forced to the resolved value) is byte-identical to the
         # original run's bundle at the same mark.
         "config": config_to_dict(_replace(vm.config,
-                                          exec_core=vm.exec_core,
                                           window_path=vm.window_path)),
-        "exec_core": vm.exec_core,
+        # Stamped for readers of stored bundles; every core ever built
+        # gave the identical run, so restore ignores it.
+        "exec_core": eng.exec_core,
         "window_path": vm.window_path,
         "dispatcher": eng._live_dispatcher,
         "run_seed": vm.config.run_seed,
@@ -313,11 +314,10 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
             f"unsupported checkpoint format {manifest.get('format')!r} "
             f"(this build reads format {FORMAT_VERSION})")
     config = config_from_dict(manifest["config"])
-    # The resolved core/path/dispatcher choices are part of the
-    # checkpoint identity: force them so the recovering environment's
-    # PISCES_* variables cannot change the replay.
-    config = _replace(config, exec_core=manifest["exec_core"],
-                      window_path=manifest["window_path"])
+    # The resolved path/dispatcher choices are part of the checkpoint
+    # identity: force them so the recovering environment's PISCES_*
+    # variables cannot change the replay.
+    config = _replace(config, window_path=manifest["window_path"])
     sched = PrefixSchedule(Schedule.parse(psched_text),
                            live_dispatcher=manifest.get("dispatcher", ""))
     plan = None

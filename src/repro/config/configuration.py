@@ -33,7 +33,6 @@ DEFAULT_ACCEPT_DELAY = 1_000_000
 #: names missing from it (so a new reader cannot slip in undocumented),
 #: and the test suite asserts each entry appears in the manual's table.
 ENV_VARS: Dict[str, str] = {
-    "PISCES_EXEC_CORE": "execution core: coop (default) or threaded (oracle)",
     "PISCES_DISPATCHER": "dispatch picker: indexed, scan or replay",
     "PISCES_TASK_BODIES": "task-body vehicle: auto or callable",
     "PISCES_WINDOW_PATH": "window data plane: fast, batched or reference",
@@ -182,19 +181,12 @@ class Configuration:
     #: environment variable, then to "fast".  Every path is bit-identical
     #: in virtual time (see docs/architecture.md).
     window_path: str = ""
-    #: Execution-core selection: "coop" (single-threaded discrete-event
-    #: loop; coroutine bodies dispatch by function call) or "threaded"
-    #: (one OS thread per process, the determinism oracle).  "" defers
-    #: to the ``PISCES_EXEC_CORE`` environment variable, then to
-    #: "coop".  Both cores are bit-identical in virtual time and
-    #: dispatch order (see docs/architecture.md, "Execution cores").
-    exec_core: str = ""
     #: Task-body vehicle: "auto" lets coroutine-style bodies (generator
-    #: functions) suspend as coroutines at the KernelOp seam -- on the
-    #: coop core they then run with no worker thread at all -- while
-    #: "callable" forces every body onto the classic blocking-call
-    #: driver (worker threads on both cores).  "" defers to the
-    #: ``PISCES_TASK_BODIES`` environment variable, then to "auto".
+    #: functions) suspend as coroutines at the KernelOp seam -- they
+    #: then run with no worker thread at all -- while "callable" forces
+    #: every body onto the classic blocking-call driver (worker
+    #: threads).  "" defers to the ``PISCES_TASK_BODIES`` environment
+    #: variable, then to "auto".
     #: Both vehicles are bit-identical in virtual time (the body-form
     #: equivalence suite asserts this across the app zoo).
     task_bodies: str = ""
@@ -304,9 +296,6 @@ class Configuration:
             raise ConfigurationError(
                 f"window_path must be fast/batched/reference, "
                 f"got {self.window_path!r}")
-        if self.exec_core not in ("", "threaded", "coop"):
-            raise ConfigurationError(
-                f"exec_core must be threaded/coop, got {self.exec_core!r}")
         if self.task_bodies not in ("", "auto", "callable"):
             raise ConfigurationError(
                 f"task_bodies must be auto/callable, "
@@ -347,8 +336,6 @@ class Configuration:
             lines.append("  metrics: enabled")
         if self.window_path:
             lines.append(f"  window data plane: {self.window_path}")
-        if self.exec_core:
-            lines.append(f"  execution core: {self.exec_core}")
         if self.task_bodies:
             lines.append(f"  task bodies: {self.task_bodies}")
         if self.profile:

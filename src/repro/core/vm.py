@@ -242,12 +242,8 @@ class PiscesVM:
                         if isinstance(replay, (str, os.PathLike))
                         else replay)
         self.kernel = MMOSKernel(self.machine, time_limit=config.time_limit,
-                                 schedule=schedule,
-                                 exec_core=config.exec_core)
+                                 schedule=schedule)
         self.engine = self.kernel.engine
-        #: Which execution core runs the processes ("coop"/"threaded");
-        #: stamped into the export_run manifest and state dumps.
-        self.exec_core = self.engine.exec_core
         if recorder is not None:
             # Explicit recorder wins over the PISCES_RECORD_SCHEDULE env
             # default the engine may have installed.

@@ -1,14 +1,13 @@
-"""Cooperative (single-threaded discrete-event) execution core.
+"""The execution vehicle: a single-threaded discrete-event core.
 
-:class:`CoopEngine` keeps every scheduling decision of the threaded
-oracle -- it *is* an :class:`~repro.mmos.scheduler.Engine`, sharing the
-picker, the dispatch keys, the fault/hb/prof/sched hooks and the slice
-accounting verbatim -- and replaces only the handoff: where the
-threaded core wakes a process thread (grant Event) and parks the engine
-thread (condition wait) for every dispatch, the coop core resumes a
-coroutine body with a plain ``gen.send()`` on the engine thread.  An OS
-context switch (~10us on this class of machine) becomes a generator
-switch (~0.1us), which is what makes 1000-process machines routine.
+:class:`CoopEngine` is the one engine class a run uses.  Its base,
+:class:`~repro.mmos.scheduler.Engine`, holds the scheduling policy
+(picker, dispatch keys, fault/hb/prof/sched hooks, slice accounting);
+this class supplies the handoff that runs a dispatched slice.  PISCES 2
+multiprograms many processes on each PE under MMOS (DESIGN.md section
+3); here a context switch is a generator switch (~0.1us), not an OS
+thread switch (~10us), which is what makes 1000-process machines
+routine.
 
 Two body forms (see :mod:`repro.mmos.process`):
 
@@ -16,21 +15,19 @@ Two body forms (see :mod:`repro.mmos.process`):
   :class:`~repro.mmos.process.KernelOp`) run *on the engine thread*.
   No OS thread exists for them: ``leaked_threads`` can never name one,
   and a dispatch costs one ``send``.
-* **callable bodies** (ordinary functions -- every PISCES task body)
-  run on a pinned worker thread with a raw-lock token handoff: both
-  locks stay held; the engine passes control by releasing the process's
-  ``handoff`` lock and parks by re-acquiring its own ``_resume`` token;
-  the worker does the reverse at every kernel point.  A raw lock pair
-  is ~2x cheaper than the Event+Condition pair of the threaded core and
-  keeps arbitrary blocking user code fully supported.
+* **callable bodies** (ordinary functions) run on a pinned worker
+  thread with a raw-lock token handoff: both locks stay held; the
+  engine passes control by releasing the process's ``handoff`` lock
+  and parks by re-acquiring its own ``_resume`` token; the worker does
+  the reverse at every kernel point.  Arbitrary blocking user code
+  stays fully supported.
 
 Determinism contract: virtual timestamps, dispatch order and the
-trace/profile streams are bit-identical to the threaded core for the
-same program -- both cores funnel every end-of-slice through
-``Engine._settle_yield`` / ``Engine._settle_done`` and pick via the
-same heap/scan/replay dispatchers.  The dispatcher-identity matrix and
-the dispatch-equivalence property suite assert this on every core x
-dispatcher combination.
+trace/profile streams are bit-identical for both body forms of the
+same program -- every end-of-slice goes through
+``Engine._settle_yield`` / ``Engine._settle_done`` -- and under both
+pickers.  The dispatch-equivalence property suite asserts this; the
+committed golden digests pin the history itself.
 """
 
 from __future__ import annotations
@@ -45,7 +42,7 @@ from .scheduler import Engine
 
 
 class CoopEngine(Engine):
-    """Single-threaded discrete-event execution core (``coop``)."""
+    """Single-threaded discrete-event execution vehicle."""
 
     exec_core = "coop"
 
@@ -76,6 +73,26 @@ class CoopEngine(Engine):
                              name=f"pisces-{p.name}-{p.pid}", daemon=True)
         p.thread = t
         t.start()
+
+    def _thread_body(self, p: KernelProcess) -> None:
+        """Worker-thread main for a callable body."""
+        self._wait_for_grant(p)
+        try:
+            if p.killed:
+                raise ProcessKilled(p.name)
+            p.result = p.target()
+        except ProcessKilled:
+            pass
+        except BaseException as e:  # surface in the engine thread
+            p.exc = e
+        finally:
+            if p.on_exit is not None:
+                try:
+                    p.on_exit(p)
+                except BaseException as e:
+                    if p.exc is None:
+                        p.exc = e
+            self._finish_thread(p)
 
     def _wait_for_grant(self, p: KernelProcess) -> None:
         # Raw-lock park: the engine's _run_slice releases exactly one
@@ -120,23 +137,21 @@ class CoopEngine(Engine):
         """One slice of a coroutine body: resume the generator and
         interpret yielded ops until it parks (preempt/block) or ends.
 
-        This is the hot path the tentpole exists for -- a dispatch is
-        this function call, no OS handoff anywhere.
+        This is the hot path -- a dispatch is this function call, no OS
+        handoff anywhere.
         """
         gen = p.gen
         # The runner ident covers kill/close cleanup too: a generator's
         # GeneratorExit handlers (lock hand-off, barrier retraction) and
         # the exit hooks run kernel calls like wake()/now(), which must
-        # see in_process() exactly as the threaded core's worker-thread
+        # see in_process() exactly as a callable body's worker-thread
         # unwinding does.
         self._gen_runner = threading.get_ident()
         try:
             if p.killed:
-                # Mirror the threaded core exactly: a killed process
-                # never observes ProcessKilled inside a coroutine body
-                # (the trampoline raises it *outside* the generator);
-                # the body sees GeneratorExit via close(), the result
-                # stays None.
+                # A killed coroutine body never observes ProcessKilled:
+                # it sees GeneratorExit via close(), the result stays
+                # None.
                 try:
                     gen.close()
                 except BaseException as e:
@@ -190,7 +205,7 @@ class CoopEngine(Engine):
             self._gen_runner = None
 
     def _proc_exit(self, p: KernelProcess) -> None:
-        """Coroutine-body counterpart of ``_thread_body``'s finally."""
+        """Coroutine-body counterpart of :meth:`_thread_body`'s finally."""
         if p.on_exit is not None:
             try:
                 p.on_exit(p)
@@ -211,15 +226,16 @@ class CoopEngine(Engine):
     # --------------------------------------------------------- shutdown --
 
     def _drain_processes(self, join_timeout: float) -> List[str]:
-        """Drain live processes through the coop strategy.
+        """Give every live process one chance to observe ``killed`` and
+        unwind; returns names of processes that stayed stuck in user
+        code past ``join_timeout``.
 
         Coroutine bodies have no thread: closing the generator runs the
         body's finally clauses on the engine thread, the exit hook runs,
         and the process settles DONE -- by construction they can never
         appear in ``leaked_threads``.  Callable bodies are granted their
         handoff so the worker observes ``killed`` and unwinds; one that
-        stays stuck in user code past ``join_timeout`` is reported the
-        same way the threaded core reports it.
+        stays stuck is reported as leaked.
         """
         stuck: List[str] = []
         for p in list(self._procs.values()):

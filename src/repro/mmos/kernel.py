@@ -34,12 +34,10 @@ class MMOSKernel:
     """Kernel services for one machine."""
 
     def __init__(self, machine: FlexMachine, time_limit: Optional[int] = None,
-                 dispatcher: Optional[str] = None, schedule=None,
-                 exec_core: Optional[str] = None):
+                 dispatcher: Optional[str] = None, schedule=None):
         self.machine = machine
         self.engine = create_engine(machine, time_limit=time_limit,
-                                    dispatcher=dispatcher, schedule=schedule,
-                                    exec_core=exec_core)
+                                    dispatcher=dispatcher, schedule=schedule)
         self.console: List[Tuple[int, int, str]] = []
         #: Optional live sink for terminal output (the execution
         #: environment hooks this to echo to the real screen).
@@ -82,7 +80,7 @@ class MMOSKernel:
     def compute_ops(self, ticks: int) -> Tuple:
         """Coroutine form of :meth:`compute`: the swap point is a
         yielded :class:`~repro.mmos.process.KernelOp` instead of a
-        blocking call, so the op stream is identical on both cores.
+        blocking call, so the op stream is identical for both body forms.
 
         Returns a (usually interned) 1-tuple rather than a generator: a
         coroutine body ``yield from``s it, which iterates at C level

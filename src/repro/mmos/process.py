@@ -7,23 +7,14 @@ few other services"; PISCES calls the kernel "primarily for process
 creation and termination, input/output to the terminal, and swapping the
 CPU among ready processes".
 
-How a process *executes* is an engine strategy, not a property of the
-process (see ``docs/architecture.md``, "Execution cores"):
-
-* on the **threaded** core every process body runs in its own Python
-  thread that the engine admits one-at-a-time, switching only at kernel
-  points;
-* on the **coop** core a *coroutine* body (a generator function that
-  yields :class:`KernelOp` values from :func:`co_charge` /
-  :func:`co_preempt` / :func:`co_block`) is resumed by a plain function
-  call on the engine thread -- no OS thread at all -- while an ordinary
-  callable body falls back to a pinned worker thread with a raw-lock
-  handoff.
-
-Both cores accept both body forms: the threaded core drives a coroutine
-body through a trampoline that maps each yielded op onto the classic
-blocking calls, so the same program text is executable (and
-bit-identical) everywhere.
+How a process *executes* depends on its body form (see
+``docs/architecture.md``, "Execution core"): a *coroutine* body (a
+generator function that yields :class:`KernelOp` values from
+:func:`co_charge` / :func:`co_preempt` / :func:`co_block`) is resumed by
+a plain function call on the engine thread -- no OS thread at all --
+while an ordinary callable body runs on a pinned worker thread with a
+raw-lock handoff.  Both forms of the same program are bit-identical in
+virtual time.
 """
 
 from __future__ import annotations
@@ -52,7 +43,7 @@ class KernelOp:
     Build them with :func:`co_charge`, :func:`co_preempt` and
     :func:`co_block`; the engine interprets the op and resumes the
     generator with the op's result (the waker's ``info`` for a block,
-    ``None`` otherwise).  Ops are plain data so both execution cores
+    ``None`` otherwise).  Ops are plain data so both body forms
     interpret the identical stream.
     """
 
@@ -81,7 +72,7 @@ def co_charge(ticks: int) -> KernelOp:
 
 
 #: Interned preempt ops for the common costs.  A KernelOp is read-only
-#: data to both engines (the drivers only ever read kind/cost), and the
+#: data to both drivers (they only ever read kind/cost), and the
 #: hot path yields one preempt per dispatch, so small costs share a
 #: singleton instead of allocating a fresh op every time.
 _PREEMPT_OPS = {c: KernelOp("preempt", c) for c in range(33)}
@@ -117,7 +108,7 @@ def drive_kernel_ops(engine: Any, gen: Generator) -> Any:
     If a blocking call unwinds (``ProcessKilled`` / ``EngineShutdown``),
     the generator is closed first so its cleanup handlers run at the
     suspension point -- the same ``GeneratorExit`` they observe when a
-    coroutine body is killed on either core.
+    coroutine body is killed.
     """
     try:
         val: Any = None
@@ -149,10 +140,10 @@ _pid_counter = itertools.count(1)
 
 
 class KernelProcess:
-    """One simulated process: thread + scheduling metadata.
+    """One simulated process: body + scheduling metadata.
 
-    Scheduling fields are only touched while the caller holds the
-    engine's condition variable or is the single admitted runner.
+    Scheduling fields are only touched by the single admitted runner or
+    by the engine between slices.
     """
 
     def __init__(self, name: str, pe: int, target: Callable[[], Any],
@@ -194,24 +185,17 @@ class KernelProcess:
         #: first slice.  Must not yield (no kernel blocking calls).
         self.on_exit: Optional[Callable[["KernelProcess"], None]] = None
 
-        self.run_granted = False
-        #: Per-process admission gate (indexed dispatcher): the engine
-        #: sets it to hand this thread the machine, so a context switch
-        #: wakes exactly one thread instead of broadcasting to all.
-        self.grant = threading.Event()
+        #: Worker thread of a callable body; None for coroutine bodies.
         self.thread: Optional[threading.Thread] = None
         #: True when ``target`` is a generator function (a coroutine
-        #: body yielding :class:`KernelOp` values).  The coop core runs
-        #: it by function call on the engine thread; the threaded core
-        #: drives it through a thread trampoline.
+        #: body yielding :class:`KernelOp` values), run by function call
+        #: on the engine thread.
         self.is_coroutine = False
-        #: The instantiated coroutine body (coop core, or the threaded
-        #: trampoline once started); None for plain callable bodies.
+        #: The instantiated coroutine body; None for callable bodies.
         self.gen: Optional[Generator] = None
-        #: Raw handoff lock for the coop core's pinned-worker fallback
-        #: (callable bodies): always held; the engine passes control by
-        #: releasing it, the worker parks by re-acquiring.  None on the
-        #: threaded core and for coroutine processes.
+        #: Raw handoff lock of a callable body's worker thread: always
+        #: held; the engine passes control by releasing it, the worker
+        #: parks by re-acquiring.  None for coroutine processes.
         self.handoff: Optional[Any] = None
         #: Dispatch sequence number of the last slice (for round-robin
         #: tie-breaking among processes sharing a PE).

@@ -3,10 +3,9 @@
 This is the substrate substitution for the real MMOS kernel running on
 20 FLEX/32 processors (DESIGN.md section 3).  The contract:
 
-* every simulated process runs in its own Python thread, but the engine
-  admits **exactly one** thread at a time;
-* threads hand control back at *kernel points* -- every PISCES run-time
-  library call, plus explicit ``compute(ticks)`` charges;
+* the engine admits **exactly one** simulated process at a time;
+* a process hands control back at *kernel points* -- every PISCES
+  run-time library call, plus explicit ``compute(ticks)`` charges;
 * each slice executed on PE *p* advances *p*'s virtual clock by the
   ticks charged during the slice; distinct PEs overlap in virtual time,
   processes sharing a PE serialize on it (multiprogramming);
@@ -24,38 +23,27 @@ Determinism: given the same program and configuration, every dispatch,
 message arrival and timeout happens in the same order with the same
 virtual timestamps.  The whole test-suite relies on this.
 
-Two dispatcher implementations share that contract (see
-``docs/architecture.md``, "Dispatch algorithm and determinism
-contract"):
+Two pickers share that contract (see ``docs/architecture.md``,
+"Dispatch algorithm and determinism contract"):
 
-* ``indexed`` (default) -- a lazy-deletion min-heap over runnable
-  processes, O(log n) per dispatch, with a per-process grant event so a
-  context switch wakes exactly one thread;
-* ``scan`` -- the original O(n) linear scan with a broadcast on one
-  shared condition variable, kept as the reference oracle.  Both must
-  produce bit-identical virtual timestamps and dispatch order; the
-  property suite and the engine-throughput benchmark assert it.
+* ``indexed`` (default) -- a two-level lazy-deletion min-heap over
+  runnable processes, O(log n) per dispatch;
+* ``scan`` -- the original O(n) linear scan, kept as the reference for
+  the heap.  Both must produce bit-identical virtual timestamps and
+  dispatch order; the property suite and the engine-throughput
+  benchmark assert it.
 
 The default can be forced with the ``PISCES_DISPATCHER`` environment
 variable (``indexed`` or ``scan``).
 
-Orthogonal to the dispatcher, two **execution cores** decide how a
-granted process actually runs its slice (``PISCES_EXEC_CORE``, or the
-:func:`create_engine` factory):
-
-* ``coop`` (default; :class:`repro.mmos.coop.CoopEngine`) -- a
-  single-threaded discrete-event loop: coroutine bodies are resumed by
-  a plain function call (no OS context switch on the hot path),
-  callable bodies fall back to a pinned worker thread with a raw-lock
-  handoff;
-* ``threaded`` (this module's :class:`Engine`, the determinism oracle)
-  -- every process body runs in its own OS thread; a dispatch is a
-  grant-event wake plus a thread park.
-
-Both cores share this module's picker, hooks and slice bookkeeping, so
-virtual timestamps, dispatch order and trace streams are bit-identical
-across every core x dispatcher combination; the dispatcher-identity
-matrix and the dispatch-equivalence property suite assert it.
+This module holds only scheduling *policy*: the pickers, the dispatch
+keys, the hooks, slice settling and the ``step``/``run``/``shutdown``
+loops.  How a dispatched process actually runs its slice is the
+execution vehicle's job, :class:`repro.mmos.coop.CoopEngine`, which
+:func:`create_engine` builds: coroutine bodies resume by a plain
+function call on the engine thread, callable bodies on a pinned worker
+thread.  Committed golden digests (``tests/integration/
+test_golden_digests.py``) pin the history that vehicle produces.
 """
 
 from __future__ import annotations
@@ -76,20 +64,11 @@ from ..errors import (
     TimeLimitExceeded,
 )
 from ..flex.machine import FlexMachine
-from .process import (
-    DEFAULT_KERNEL_COST,
-    KernelOp,
-    KernelProcess,
-    ProcState,
-    drive_kernel_ops,
-)
+from .process import DEFAULT_KERNEL_COST, KernelProcess, ProcState
 
 #: Recognized dispatcher implementations.  ``replay`` re-executes a
 #: recorded decision stream (see :mod:`repro.correctness.recorder`).
 DISPATCHERS = ("indexed", "scan", "replay")
-
-#: Recognized execution cores (see module docstring).
-EXEC_CORES = ("threaded", "coop")
 
 
 def default_dispatcher() -> str:
@@ -109,49 +88,25 @@ def _live_dispatcher_for(schedule: Any) -> str:
     return d if d in ("indexed", "scan") else "indexed"
 
 
-def default_exec_core() -> str:
-    """Execution core used when the caller does not choose one:
-    ``PISCES_EXEC_CORE``, then ``coop``.  Every entry point (the VM,
-    the service, the CLI) resolves an empty choice here."""
-    c = env_value("PISCES_EXEC_CORE", "coop")
-    if c not in EXEC_CORES:
-        raise ValueError(
-            f"PISCES_EXEC_CORE={c!r}: must be one of {EXEC_CORES}")
-    return c
-
-
 def create_engine(machine: FlexMachine, time_limit: Optional[int] = None,
                   dispatcher: Optional[str] = None,
-                  schedule: Optional[Any] = None,
-                  exec_core: Optional[str] = None) -> "Engine":
-    """Build an engine for ``exec_core`` (default: ``PISCES_EXEC_CORE``,
-    then ``coop``).  This is the one place that knows which class
-    implements which core; the VM and benchmarks go through it."""
-    if not exec_core:
-        exec_core = default_exec_core()
-    if exec_core not in EXEC_CORES:
-        raise ValueError(
-            f"exec_core {exec_core!r}: must be one of {EXEC_CORES}")
-    if exec_core == "coop":
-        from .coop import CoopEngine
-        return CoopEngine(machine, time_limit=time_limit,
-                          dispatcher=dispatcher, schedule=schedule)
-    return Engine(machine, time_limit=time_limit, dispatcher=dispatcher,
-                  schedule=schedule)
+                  schedule: Optional[Any] = None) -> "Engine":
+    """Build the engine for ``machine``: the one place that names the
+    execution vehicle class; the VM and benchmarks go through it."""
+    from .coop import CoopEngine
+    return CoopEngine(machine, time_limit=time_limit,
+                      dispatcher=dispatcher, schedule=schedule)
 
 
 class Engine:
-    """The MMOS scheduler/dispatcher for one machine (threaded core).
+    """The MMOS scheduler/dispatcher policy for one machine.
 
-    Also the base class of the coop core: everything that decides *what
-    runs next and when* (picker, keys, hooks, slice accounting) lives
-    here and is shared; subclasses override only the handoff strategy
-    (:meth:`_launch`, :meth:`_run_slice`, :meth:`_yield`,
-    :meth:`_drain_process`).
+    Everything that decides *what runs next and when* (picker, keys,
+    hooks, slice accounting) lives here; the execution vehicle
+    (:class:`repro.mmos.coop.CoopEngine`) supplies the handoff:
+    ``_launch``, :meth:`_run_slice`, :meth:`_yield`,
+    :meth:`_wait_for_grant` and ``_drain_processes``.
     """
-
-    #: Which execution core this class implements (manifest stamping).
-    exec_core = "threaded"
 
     def __init__(self, machine: FlexMachine, time_limit: Optional[int] = None,
                  dispatcher: Optional[str] = None, schedule: Optional[Any] = None):
@@ -172,7 +127,6 @@ class Engine:
         # Replay reuses the scan picker's data structures only for state
         # dumps; selection itself is driven by the recorded stream.
         self._indexed = dispatcher == "indexed"
-        self._cv = threading.Condition()
         self._procs: Dict[int, KernelProcess] = {}
         #: Indexed-dispatcher index (see "Dispatch algorithm" in
         #: docs/architecture.md).  Two-level, with keys that *never go
@@ -279,7 +233,8 @@ class Engine:
               ) -> KernelProcess:
         """Create a process on PE ``pe``.
 
-        ``target`` is called with no arguments in the new thread.  The
+        ``target`` is the process body: a generator function (coroutine
+        body) or a plain callable, called with no arguments.  The
         process becomes READY at ``start_time`` (default: now).
         """
         if pe not in self.machine.pes:
@@ -306,63 +261,10 @@ class Engine:
         self._launch(p)
         return p
 
-    # ------------------------------------------------ execution strategy --
-
-    def _launch(self, p: KernelProcess) -> None:
-        """Start the execution vehicle for ``p`` (threaded core: one OS
-        thread per process, coroutine bodies included -- the thread
-        drives them through :meth:`_coroutine_trampoline`)."""
-        t = threading.Thread(target=self._thread_body, args=(p,),
-                             name=f"pisces-{p.name}-{p.pid}", daemon=True)
-        p.thread = t
-        t.start()
-
-    def _coroutine_trampoline(self, p: KernelProcess) -> Any:
-        """Drive a coroutine body from a process thread by mapping each
-        yielded :class:`KernelOp` onto the classic blocking calls.  This
-        is what makes coroutine bodies first-class citizens of the
-        threaded (oracle) core: the op stream executes with exactly the
-        virtual-time semantics the coop core gives it."""
-        gen = p.target()
-        p.gen = gen
-        try:
-            return drive_kernel_ops(self, gen)
-        finally:
-            gen.close()
-
-    def _thread_body(self, p: KernelProcess) -> None:
-        self._wait_for_grant(p)
-        try:
-            if p.killed:
-                raise ProcessKilled(p.name)
-            if p.is_coroutine:
-                p.result = self._coroutine_trampoline(p)
-            else:
-                p.result = p.target()
-        except ProcessKilled:
-            pass
-        except BaseException as e:  # surface in the engine thread
-            p.exc = e
-        finally:
-            if p.on_exit is not None:
-                try:
-                    p.on_exit(p)
-                except BaseException as e:
-                    if p.exc is None:
-                        p.exc = e
-            self._finish_thread(p)
-
-    def _finish_thread(self, p: KernelProcess) -> None:
-        """Final DONE bookkeeping, from the process's own thread."""
-        with self._cv:
-            self._settle_done(p)
-            self._cv.notify_all()
-
     # ----------------------------------------------- slice bookkeeping ----
 
     def _settle_done(self, p: KernelProcess) -> None:
-        """Account the final slice and mark ``p`` DONE (shared by both
-        cores; the caller owns whatever synchronization its core needs)."""
+        """Account the final slice and mark ``p`` DONE."""
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
         if self.record_slices and cost > 0:
@@ -376,9 +278,9 @@ class Engine:
                       reason: str, deadline: Optional[int]) -> None:
         """Account a finished (non-final) slice and park/requeue ``p``.
 
-        The single source of truth for end-of-slice state: both cores
-        and every body form go through it, which is what keeps virtual
-        timestamps bit-identical across cores.
+        The single source of truth for end-of-slice state: every body
+        form goes through it, which is what keeps virtual timestamps
+        bit-identical across body forms.
         """
         cost = p.pending_cost
         end = p.clock.run(p.slice_start, cost)
@@ -398,40 +300,19 @@ class Engine:
         p.deadline = deadline
         self._requeue(p)
 
-    # ------------------------------------------------------ thread handoff --
+    # ---------------------------------------------------- vehicle handoff --
+    # Implemented by the execution vehicle.  Declared here because the
+    # traced benchmark wraps these three names on both classes.
+
+    def _run_slice(self, p: KernelProcess, start: int) -> None:
+        raise NotImplementedError
+
+    def _yield(self, p: KernelProcess, new_state: ProcState, *,
+               reason: str = "", deadline: Optional[int] = None) -> None:
+        raise NotImplementedError
 
     def _wait_for_grant(self, p: KernelProcess) -> None:
-        """Park the calling process thread until the engine admits it.
-
-        Indexed mode: each process waits on its own event, so a grant
-        wakes exactly one thread.  Scan (reference) mode: all parked
-        threads share the engine condition variable and every grant is
-        a broadcast -- the O(n)-wakeups behaviour the indexed path
-        replaces.
-        """
-        if self._indexed:
-            p.grant.wait()
-            p.grant.clear()
-            p.run_granted = False
-        else:
-            with self._cv:
-                while not p.run_granted:
-                    self._cv.wait()
-                p.run_granted = False
-
-    def _grant_locked(self, p: KernelProcess) -> None:
-        """Admit ``p`` (caller holds ``_cv``).
-
-        Both wake paths are signalled: a process that parked while the
-        engine was in one dispatch mode may be granted after a
-        replay-to-live switch flipped ``_indexed`` (restored runs), so
-        it may be waiting on either the condition variable or its
-        personal grant event.
-        """
-        p.run_granted = True
-        if self._indexed:
-            p.grant.set()
-        self._cv.notify_all()
+        raise NotImplementedError
 
     # ---------------------------------------------------- process-side ----
 
@@ -536,24 +417,6 @@ class Engine:
                 pr.on_kill(p, p.ready_time)
             p.state = ProcState.READY
             self._requeue(p)
-
-    def _yield(self, p: KernelProcess, new_state: ProcState, *,
-               reason: str = "", deadline: Optional[int] = None) -> None:
-        """Finish the current slice and hand control to the engine."""
-        with self._cv:
-            self._settle_yield(p, new_state, reason, deadline)
-            self._current = None
-            self._cv.notify_all()
-            if not self._indexed:
-                while not p.run_granted:
-                    self._cv.wait()
-                p.run_granted = False
-        if self._indexed:
-            p.grant.wait()
-            p.grant.clear()
-            p.run_granted = False
-        if p.killed:
-            raise self._kill_exc(p)
 
     def _kill_exc(self, p: KernelProcess) -> ProcessKilled:
         """The exception a killed process unwinds with."""
@@ -819,9 +682,9 @@ class Engine:
         self._run_slice(p, start)
         self._current = None
         if pr is not None:
-            # The slice just completed: under the lock above _yield (or
-            # _thread_body) set p.ready_time to its end tick and left
-            # the new state/reason/deadline on the process.
+            # The slice just completed: its settle set p.ready_time to
+            # its end tick and left the new state/reason/deadline on
+            # the process.
             pr.on_slice(p, start, p.ready_time, p.state, p.blocked_on,
                         p.deadline, time.perf_counter() - t_wall)
         if p.exc is not None:
@@ -831,20 +694,6 @@ class Engine:
         if self.on_idle_check is not None:
             self.on_idle_check()
         return True
-
-    def _run_slice(self, p: KernelProcess, start: int) -> None:
-        """Execute one slice of ``p`` starting at virtual tick ``start``
-        and return when the slice has ended (threaded core: grant the
-        process thread and park the engine on the condition variable --
-        the OS handoff the coop core's override replaces with a plain
-        function call)."""
-        with self._cv:
-            p.slice_start = start
-            p.state = ProcState.RUNNING
-            self._current = p
-            self._grant_locked(p)
-            while p.state is ProcState.RUNNING:
-                self._cv.wait()
 
     def _fast_eligible(self) -> bool:
         """True when no per-slice hook is installed -- replay,
@@ -997,34 +846,6 @@ class Engine:
                 f"thread(s) (stuck outside kernel points): "
                 f"{', '.join(self.leaked_threads)}",
                 RuntimeWarning, stacklevel=2)
-
-    def _drain_processes(self, join_timeout: float) -> List[str]:
-        """Give every live process one chance per slice to observe
-        ``killed`` and unwind; returns names of processes that stayed
-        stuck in user code past ``join_timeout``.  Threaded core: grant
-        each thread and wait on the condition variable."""
-        stuck: List[str] = []
-        for p in list(self._procs.values()):
-            while p.live and p.thread is not None and p.thread.is_alive():
-                with self._cv:
-                    if p.state is ProcState.DONE:
-                        break
-                    p.state = ProcState.RUNNING
-                    self._current = p
-                    self._grant_locked(p)
-                    limit = time.monotonic() + join_timeout
-                    while p.state is ProcState.RUNNING:
-                        remaining = limit - time.monotonic()
-                        if remaining <= 0:
-                            break
-                        self._cv.wait(remaining)
-                    timed_out = p.state is ProcState.RUNNING
-                self._current = None
-                p.exc = None
-                if timed_out:
-                    stuck.append(p.name)
-                    break
-        return stuck
 
     # ------------------------------------------------------- inspection --
 

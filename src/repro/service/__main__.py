@@ -50,11 +50,6 @@ def main(argv=None) -> int:
                     default=DEFAULT_QUOTA, metavar="R,Q,P")
     ap.add_argument("--quantum", type=int, default=8,
                     help="fair-share DRR quantum in PEs (default 8)")
-    ap.add_argument("--exec-core", default="",
-                    choices=("", "threaded", "coop"),
-                    help="default execution core for submitted runs "
-                         "(empty: PISCES_EXEC_CORE, then coop; threaded "
-                         "is the oracle)")
     ap.add_argument("--window-path", default="",
                     choices=("", "fast", "batched", "reference"))
     ap.add_argument("--task-bodies", default="",
@@ -69,8 +64,7 @@ def main(argv=None) -> int:
             ap.error(f"--quota {entry!r}: want TENANT=R,Q,P")
         quotas[tenant] = parse_quota(spec)
 
-    defaults = {k: v for k, v in (("exec_core", args.exec_core),
-                                  ("window_path", args.window_path),
+    defaults = {k: v for k, v in (("window_path", args.window_path),
                                   ("task_bodies", args.task_bodies)) if v}
     service = RunService(args.root, n_workers=args.workers, quotas=quotas,
                          default_quota=args.default_quota,

@@ -25,7 +25,7 @@ import threading
 import time
 import traceback
 from dataclasses import dataclass, replace
-from typing import Any, Dict, Optional
+from typing import Any, Dict, List, Optional, Tuple
 
 from ..api import _ALL_TRACE_EVENTS, find_latest_checkpoint, restore_vm
 from ..core.vm import PiscesVM
@@ -84,7 +84,6 @@ def build_vm(rec: RunRecord, store: RunStore,
         name=f"{rec.run_id}-{plan.config.name}",
         trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
         metrics_enabled=True,
-        exec_core=spec.exec_core or defaults.get("exec_core", ""),
         window_path=spec.window_path or defaults.get("window_path", ""),
         task_bodies=spec.task_bodies or defaults.get("task_bodies", ""),
         run_seed=spec.run_seed,
@@ -115,36 +114,57 @@ def _install_kill_hook(vm: PiscesVM, handle: ExecutionHandle) -> None:
     vm.engine.on_idle_check = check
 
 
-def _archive(vm: PiscesVM, rec: RunRecord, store: RunStore) -> Dict[str, Any]:
-    """Write the run's artifact bundle; returns provenance metadata.
+def _archive(vm: PiscesVM, rec: RunRecord,
+             store: RunStore) -> Tuple[Dict[str, Any], List[Dict[str, str]]]:
+    """Write the run's artifact bundle; returns provenance metadata and
+    the archive steps that failed, as ``{"step", "error"}`` entries.
 
     Best-effort by design: archiving a killed or crashed run keeps
-    whatever evidence exists (partial trace, fault events so far).
+    whatever evidence exists (partial trace, fault events so far), so a
+    failing step does not stop the others.
     """
     art = store.artifacts_dir(rec.run_id)
     art.mkdir(parents=True, exist_ok=True)
     provenance: Dict[str, Any] = {}
-    try:
-        manifest = run_manifest(vm)
-        provenance = {k: manifest.get(k) for k in _PROVENANCE_KEYS}
-    except Exception:
-        pass
-    try:
-        export_run(vm, art, prefix="run")
-    except Exception:
-        pass
-    try:
+
+    def manifest() -> None:
+        m = run_manifest(vm)
+        provenance.update((k, m.get(k)) for k in _PROVENANCE_KEYS)
+
+    def faults() -> None:
         if vm.faults is not None:
             vm.faults.write_jsonl(art / "run.faults.jsonl")
-    except Exception:
-        pass
-    try:
+
+    def psched() -> None:
         hook = vm.sched_hook
         if hook is not None and hasattr(hook, "dumps"):
             (art / "run.psched").write_text(hook.dumps(), encoding="utf-8")
-    except Exception:
-        pass
-    return provenance
+
+    errors: List[Dict[str, str]] = []
+    for step, write in (("manifest", manifest),
+                        ("export", lambda: export_run(vm, art, prefix="run")),
+                        ("faults", faults), ("psched", psched)):
+        try:
+            write()
+        except Exception as e:
+            errors.append({"step": step, "error": f"{type(e).__name__}: {e}"})
+    return provenance, errors
+
+
+def _finish(vm: Optional[PiscesVM], rec: RunRecord, store: RunStore,
+            state: str, exit_info: Dict[str, Any]) -> RunRecord:
+    """Archive what the run left and make its terminal transition; a
+    failed archive step is recorded in the record's
+    ``exit["archive_errors"]``."""
+    provenance: Dict[str, Any] = {}
+    if vm is not None:
+        provenance, errors = _archive(vm, rec, store)
+        if errors:
+            exit_info["archive_errors"] = errors
+    return store.transition(rec.run_id, state, finished_at=time.time(),
+                            provenance=provenance,
+                            artifacts=store.list_artifacts(rec.run_id),
+                            exit=exit_info)
 
 
 def standalone_run(spec, defaults: Optional[ServiceDefaults] = None):
@@ -163,7 +183,6 @@ def standalone_run(spec, defaults: Optional[ServiceDefaults] = None):
         plan.config,
         trace_events=_ALL_TRACE_EVENTS if spec.trace else (),
         metrics_enabled=True,
-        exec_core=spec.exec_core or defaults.get("exec_core", ""),
         window_path=spec.window_path or defaults.get("window_path", ""),
         task_bodies=spec.task_bodies or defaults.get("task_bodies", ""),
         run_seed=spec.run_seed,
@@ -211,35 +230,24 @@ def execute_run(rec: RunRecord, store: RunStore, handle: ExecutionHandle,
         else:
             result = vm.run(plan_app.tasktype, *plan_app.args, shutdown=True)
 
-        provenance = _archive(vm, rec, store)
         value_repr = repr(result.value)
         if len(value_repr) > 200:
             value_repr = value_repr[:200] + "..."
-        return store.transition(
-            rec.run_id, DONE, finished_at=time.time(),
-            provenance=provenance,
-            artifacts=store.list_artifacts(rec.run_id),
-            exit={"outcome": "done", "elapsed_ticks": int(result.elapsed),
-                  "value": value_repr,
-                  "resumed_from": rec.resumed_from})
+        return _finish(vm, rec, store, DONE,
+                       {"outcome": "done",
+                        "elapsed_ticks": int(result.elapsed),
+                        "value": value_repr,
+                        "resumed_from": rec.resumed_from})
     except KilledByService:
-        provenance = _archive(vm, rec, store) if vm is not None else {}
-        return store.transition(
-            rec.run_id, KILLED, finished_at=time.time(),
-            provenance=provenance,
-            artifacts=store.list_artifacts(rec.run_id),
-            exit={"outcome": "killed",
-                  "elapsed_ticks": (int(vm.machine.elapsed())
-                                    if vm is not None else None)})
+        return _finish(vm, rec, store, KILLED,
+                       {"outcome": "killed",
+                        "elapsed_ticks": (int(vm.machine.elapsed())
+                                          if vm is not None else None)})
     except Exception as e:
-        provenance = _archive(vm, rec, store) if vm is not None else {}
-        return store.transition(
-            rec.run_id, FAILED, finished_at=time.time(),
-            provenance=provenance,
-            artifacts=store.list_artifacts(rec.run_id),
-            exit={"outcome": "failed",
-                  "error": f"{type(e).__name__}: {e}",
-                  "traceback": traceback.format_exc(limit=8)})
+        return _finish(vm, rec, store, FAILED,
+                       {"outcome": "failed",
+                        "error": f"{type(e).__name__}: {e}",
+                        "traceback": traceback.format_exc(limit=8)})
     finally:
         handle.vm = None
         if vm is not None:

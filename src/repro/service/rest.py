@@ -41,6 +41,10 @@ from ..errors import (InvalidRunSpec, QuotaExceeded, ServiceError,
 from .service import RunService
 from .store import RunRecord
 
+#: Seconds ``serve_forever`` waits between shutdown checks; socketserver's
+#: 0.5 s default made every ``server.shutdown()`` wait up to that long.
+_POLL_INTERVAL = 0.05
+
 
 def record_json(rec: RunRecord) -> Dict[str, Any]:
     return rec.to_dict()
@@ -214,6 +218,7 @@ def serve(service: RunService, host: str = "127.0.0.1", port: int = 0,
     """
     server = ServiceHTTPServer(service, host=host, port=port)
     thread = threading.Thread(target=server.serve_forever,
+                              args=(_POLL_INTERVAL,),
                               name="pisces-svc-http", daemon=True)
     thread.start()
     return server, thread

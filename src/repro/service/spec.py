@@ -4,7 +4,7 @@ A :class:`RunSpec` is the JSON-shaped description of one PISCES run --
 which app (a name from the service :mod:`~repro.service.catalog`, or
 ``"fortran"`` with inline Pisces Fortran source), its parameters, and
 the run toggles the service honours (fault plan, tracing, periodic
-checkpointing, execution core / window path / task-body vehicle).
+checkpointing, window path / task-body vehicle).
 
 The spec is deliberately *data*, never code: everything in it is
 JSON-stable, so the store can persist it, the REST layer can carry it,
@@ -23,11 +23,15 @@ from ..errors import InvalidRunSpec
 #: Fields a spec dict may carry (anything else is refused loudly --
 #: a typo'd field name must not silently change nothing).
 SPEC_FIELDS = ("app", "params", "fault_plan", "trace", "checkpoint_every",
-               "exec_core", "window_path", "task_bodies", "run_seed")
+               "window_path", "task_bodies", "run_seed")
+
+#: Values a stored spec's retired ``exec_core`` field may hold.  Every
+#: execution core ever built gave the identical run, so such a spec
+#: loads with the field dropped.
+_LEGACY_CORES = ("", "threaded", "coop")
 
 #: Axes with a closed set of values ("" defers to the service default).
 _CHOICES = {
-    "exec_core": ("", "threaded", "coop"),
     "window_path": ("", "fast", "batched", "reference"),
     "task_bodies": ("", "auto", "callable"),
 }
@@ -54,9 +58,8 @@ class RunSpec:
     #: runs without are re-queued from the start.
     checkpoint_every: int = 0
     #: Execution axes, "" = service default.  Every choice is
-    #: bit-identical in virtual time (the core x dispatcher x body-form
-    #: identity matrix), so tenants pick purely for host speed.
-    exec_core: str = ""
+    #: bit-identical in virtual time, so tenants pick purely for host
+    #: speed.
     window_path: str = ""
     task_bodies: str = ""
     #: Seed of the VM-level run RNG (backoff jitter determinism).
@@ -89,6 +92,12 @@ class RunSpec:
     def from_dict(cls, d: Dict[str, Any]) -> "RunSpec":
         if not isinstance(d, dict):
             raise InvalidRunSpec(f"spec must be an object, got {d!r}")
+        d = dict(d)
+        core = d.pop("exec_core", "")
+        if core not in _LEGACY_CORES:
+            raise InvalidRunSpec(
+                f"exec_core={core!r} is not one of "
+                f"{'/'.join(c or '<default>' for c in _LEGACY_CORES)}")
         unknown = sorted(set(d) - set(SPEC_FIELDS))
         if unknown:
             raise InvalidRunSpec(

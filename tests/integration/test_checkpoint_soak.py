@@ -1,6 +1,6 @@
 """Crash-recovery soak: checkpoint, ``kill -9``, restore, resume.
 
-For each (execution core, fault scenario): a victim subprocess runs
+For each fault scenario: a victim subprocess runs
 the fault-tolerant Jacobi solver with periodic checkpointing and a
 :class:`~repro.faults.HostKill` in its plan -- the process is SIGKILLed
 mid-run.  A fresh subprocess restores the latest valid bundle and
@@ -28,7 +28,7 @@ def run_mode(*args, expect: int = 0):
     env["PYTHONPATH"] = str(ROOT / "src")
     # The runner's behaviour must come from its argv alone.
     for var in ("PISCES_CHECKPOINT", "PISCES_CHECKPOINT_DIR",
-                "PISCES_EXEC_CORE", "PISCES_DISPATCHER"):
+                "PISCES_DISPATCHER"):
         env.pop(var, None)
     proc = subprocess.run([sys.executable, str(RUNNER), *args],
                           env=env, cwd=ROOT, capture_output=True,
@@ -39,19 +39,18 @@ def run_mode(*args, expect: int = 0):
     return proc
 
 
-@pytest.mark.parametrize("core", ["threaded", "coop"])
 @pytest.mark.parametrize("scenario", ["plain", "faulty"])
-def test_kill9_restore_is_bit_identical(core, scenario, tmp_path):
+def test_kill9_restore_is_bit_identical(scenario, tmp_path):
     ckpt_dir = tmp_path / "ckpts"
     ckpt_dir.mkdir()
     ref_out = tmp_path / "reference.json"
     res_out = tmp_path / "restored.json"
 
-    run_mode("reference", str(ref_out), core, scenario)
+    run_mode("reference", str(ref_out), scenario)
 
     # The victim must die by SIGKILL, not finish, and must have left at
     # least one valid bundle behind.
-    run_mode("victim", str(ckpt_dir), core, scenario,
+    run_mode("victim", str(ckpt_dir), scenario,
              expect=-signal.SIGKILL)
     bundles = list(ckpt_dir.glob("*.pckpt"))
     assert bundles, "victim died before writing any checkpoint"

@@ -1,10 +1,10 @@
 """Golden digests: every app's history checked against committed hashes.
 
-Cross-leg agreement (threaded vs coop, auto vs callable) cannot see a
-change that moves every leg at once.  This check can: for each app of
-the zoo at test sizes, each Pisces Fortran library program, and the
-chaos, replay and checkpoint scenarios below, it compares three sha256
-digests against ``golden_digests.json``:
+Cross-leg agreement (coroutine vs callable bodies, heap vs scan picker)
+cannot see a change that moves every leg at once.  This check can: for
+each app of the zoo at test sizes, each Pisces Fortran library program,
+and the chaos, replay and checkpoint scenarios below, it compares three
+sha256 digests against ``golden_digests.json``:
 
 * ``trace`` -- the full trace stream (every event type), line by line;
 * ``dispatch`` -- the dispatch stream: ``(pe, start, end, process)``
@@ -25,8 +25,11 @@ Runs under a fault plan also digest the fault-event stream
   ``_ckpt_runner.py``, uninterrupted; a run restored from a mid-run
   checkpoint must reproduce the same golden.
 
-The goldens were generated on the threaded core.  They are asserted on
-the default core and on ``exec_core="threaded"``.  To regenerate after
+The goldens were generated on the thread-per-process core that earlier
+builds carried next to today's engine; the two agreed on every entry
+before that core was removed.  They are asserted for both task-body
+vehicles: ``default`` (coroutine bodies where the app has them) and
+``callable`` (every body on a worker thread).  To regenerate after
 a change that is *meant* to move virtual time or traces::
 
     PYTHONPATH=src python -m tests.integration.test_golden_digests --write
@@ -116,11 +119,11 @@ def _run_digests(vm, tasktype, *args) -> dict:
         vm.shutdown()
 
 
-def app_digests(app: str, exec_core: str = "") -> dict:
-    """Run ``app`` once on ``exec_core`` ("" = the default) and digest
+def app_digests(app: str, task_bodies: str = "") -> dict:
+    """Run ``app`` once with ``task_bodies`` ("" = the default) and digest
     its trace stream, dispatch stream and end-of-run state."""
     registry, config, tasktype, args, machine = CASES[app]()
-    config = dataclasses.replace(config, exec_core=exec_core,
+    config = dataclasses.replace(config, task_bodies=task_bodies,
                                  trace_events=_ALL_EVENTS)
     vm = PiscesVM(config, registry=registry, machine=machine)
     return _run_digests(vm, tasktype, *args)
@@ -157,9 +160,9 @@ CHAOS = {
 }
 
 
-def chaos_digests(name: str, exec_core: str = "") -> dict:
+def chaos_digests(name: str, task_bodies: str = "") -> dict:
     registry, config, tasktype, args, plan = CHAOS[name]()
-    config = dataclasses.replace(config, exec_core=exec_core,
+    config = dataclasses.replace(config, task_bodies=task_bodies,
                                  trace_events=_ALL_EVENTS)
     vm = PiscesVM(config, registry=registry, fault_plan=plan)
     return _run_digests(vm, tasktype, *args)
@@ -170,22 +173,22 @@ def chaos_digests(name: str, exec_core: str = "") -> dict:
 REPLAY = "replay_jacobi_windows"
 
 
-def _replay_vm(exec_core, **kw):
+def _replay_vm(task_bodies, **kw):
     config = Configuration(clusters=(ClusterSpec(1, 3, 4),
                                      ClusterSpec(2, 4, 4)),
-                           name="replay-jacobi-w", exec_core=exec_core,
+                           name="replay-jacobi-w", task_bodies=task_bodies,
                            trace_events=_ALL_EVENTS)
     return PiscesVM(config, registry=build_windows_registry(10, 2, 3), **kw)
 
 
-def replay_digests(exec_core: str = ""):
+def replay_digests(task_bodies: str = ""):
     """Record a jacobi-windows run, then replay it: returns the digests
     of the recording and of the replay."""
     recorder = ScheduleRecorder()
-    recorded = _run_digests(_replay_vm(exec_core, recorder=recorder),
+    recorded = _run_digests(_replay_vm(task_bodies, recorder=recorder),
                             "JMASTER")
     schedule = recorder.as_schedule()
-    replayed = _run_digests(_replay_vm(exec_core, replay=schedule),
+    replayed = _run_digests(_replay_vm(task_bodies, replay=schedule),
                             "JMASTER")
     schedule.check_complete()
     return recorded, replayed
@@ -196,25 +199,26 @@ def replay_digests(exec_core: str = ""):
 CKPT = ("plain", "faulty")
 
 
-def _ckpt_vm(scenario, exec_core, ckpt_dir=""):
-    config = dataclasses.replace(ckpt_runner.config(exec_core, ckpt_dir),
+def _ckpt_vm(scenario, task_bodies, ckpt_dir=""):
+    config = dataclasses.replace(ckpt_runner.config(ckpt_dir),
+                                 task_bodies=task_bodies,
                                  trace_events=_ALL_EVENTS,
                                  checkpoint_keep=10_000)
     return PiscesVM(config, registry=ckpt_runner.registry(),
                     fault_plan=ckpt_runner.plan(scenario, host_kill=False))
 
 
-def ckpt_reference_digests(scenario: str, exec_core: str = "") -> dict:
+def ckpt_reference_digests(scenario: str, task_bodies: str = "") -> dict:
     """The uninterrupted run of a ``_ckpt_runner`` scenario."""
-    return _run_digests(_ckpt_vm(scenario, exec_core), "CMASTER")
+    return _run_digests(_ckpt_vm(scenario, task_bodies), "CMASTER")
 
 
 def ckpt_restored_digests(scenario: str, ckpt_dir: Path,
-                          exec_core: str = "") -> dict:
+                          task_bodies: str = "") -> dict:
     """Run the scenario with periodic checkpoints, then restore the last
     bundle written before ``_ckpt_runner.KILL_AT`` (where the soak's
     victim dies) and resume it to the end."""
-    vm = _ckpt_vm(scenario, exec_core, str(ckpt_dir))
+    vm = _ckpt_vm(scenario, task_bodies, str(ckpt_dir))
     vm.run("CMASTER")
     bundles = sorted(ckpt_dir.glob("*.pckpt"))
     marks = [(load_bundle(b)[0]["now"], b) for b in bundles]
@@ -229,11 +233,12 @@ def ckpt_restored_digests(scenario: str, ckpt_dir: Path,
         rr.vm.shutdown()
 
 
-def all_goldens(exec_core: str) -> dict:
-    goldens = {app: app_digests(app, exec_core) for app in sorted(CASES)}
-    goldens.update({name: chaos_digests(name, exec_core) for name in CHAOS})
-    goldens[REPLAY] = replay_digests(exec_core)[0]
-    goldens.update({f"ckpt_{s}": ckpt_reference_digests(s, exec_core)
+def all_goldens(task_bodies: str) -> dict:
+    goldens = {app: app_digests(app, task_bodies) for app in sorted(CASES)}
+    goldens.update({name: chaos_digests(name, task_bodies)
+                    for name in CHAOS})
+    goldens[REPLAY] = replay_digests(task_bodies)[0]
+    goldens.update({f"ckpt_{s}": ckpt_reference_digests(s, task_bodies)
                     for s in CKPT})
     return goldens
 
@@ -242,48 +247,48 @@ def load_goldens() -> dict:
     return json.loads(GOLDEN_PATH.read_text())
 
 
-def test_goldens_cover_every_scenario():
+def test_goldens_cover_every_app():
     assert sorted(load_goldens()) == sorted(
         [*CASES, *CHAOS, REPLAY, *(f"ckpt_{s}" for s in CKPT)])
 
 
-CORES = pytest.mark.parametrize("exec_core", ["", "threaded"],
-                                ids=["default", "threaded"])
+VEHICLES = pytest.mark.parametrize("task_bodies", ["", "callable"],
+                                   ids=["default", "callable"])
 
 
-@CORES
+@VEHICLES
 @pytest.mark.parametrize("app", sorted(CASES))
-def test_app_matches_golden_digests(app, exec_core):
-    assert app_digests(app, exec_core) == load_goldens()[app]
+def test_app_matches_golden_digests(app, task_bodies):
+    assert app_digests(app, task_bodies) == load_goldens()[app]
 
 
-@CORES
+@VEHICLES
 @pytest.mark.parametrize("name", sorted(CHAOS))
-def test_chaos_matches_golden_digests(name, exec_core):
-    assert chaos_digests(name, exec_core) == load_goldens()[name]
+def test_chaos_matches_golden_digests(name, task_bodies):
+    assert chaos_digests(name, task_bodies) == load_goldens()[name]
 
 
-@CORES
-def test_replay_reproduces_recording_golden(exec_core):
-    recorded, replayed = replay_digests(exec_core)
+@VEHICLES
+def test_replay_reproduces_recording_golden(task_bodies):
+    recorded, replayed = replay_digests(task_bodies)
     golden = load_goldens()[REPLAY]
     assert recorded == golden
     assert replayed == golden
 
 
-@CORES
+@VEHICLES
 @pytest.mark.parametrize("scenario", CKPT)
-def test_restored_run_matches_uninterrupted_golden(scenario, exec_core,
+def test_restored_run_matches_uninterrupted_golden(scenario, task_bodies,
                                                    tmp_path):
     golden = load_goldens()[f"ckpt_{scenario}"]
-    assert ckpt_reference_digests(scenario, exec_core) == golden
-    assert ckpt_restored_digests(scenario, tmp_path, exec_core) == golden
+    assert ckpt_reference_digests(scenario, task_bodies) == golden
+    assert ckpt_restored_digests(scenario, tmp_path, task_bodies) == golden
 
 
 if __name__ == "__main__":
     if sys.argv[1:] != ["--write"]:
         sys.exit(__doc__)
-    goldens = all_goldens("threaded")
+    goldens = all_goldens("")
     GOLDEN_PATH.write_text(json.dumps(goldens, indent=2, sort_keys=True)
                            + "\n")
     print(f"wrote {len(goldens)} digests to {GOLDEN_PATH}")

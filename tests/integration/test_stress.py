@@ -8,7 +8,7 @@ from repro.core.taskid import ANY, PARENT
 from repro.core.vm import PiscesVM
 from repro.flex.machine import FlexMachine, MachineSpec
 from repro.flex.presets import nasa_langley_flex32, small_flex
-from repro.mmos.scheduler import Engine
+from repro.mmos.scheduler import create_engine
 
 
 class TestEngineStress:
@@ -17,7 +17,7 @@ class TestEngineStress:
         virtual-time accounting stays exact."""
         m = FlexMachine(MachineSpec(n_pes=20, unix_pes=(1, 2),
                                     disk_pes=(1, 2)))
-        eng = Engine(m)
+        eng = create_engine(m)
         N = 200
         done = []
 
@@ -38,7 +38,7 @@ class TestEngineStress:
         assert total_busy == N * 30
 
     def test_on_idle_check_hook_fires(self):
-        eng = Engine(small_flex(6))
+        eng = create_engine(small_flex(6))
         count = {"n": 0}
         eng.on_idle_check = lambda: count.__setitem__("n", count["n"] + 1)
         eng.spawn("t", 3, lambda: eng.preempt(0))

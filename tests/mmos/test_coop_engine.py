@@ -1,11 +1,10 @@
-"""Unit tests for the coop (single-threaded discrete-event) core.
+"""Unit tests for the coop (single-threaded discrete-event) engine.
 
-Covers the execution-strategy split of the coroutine-core tentpole:
-core selection (factory + env), coroutine and callable bodies on both
-cores, the KernelOp protocol (charge/preempt/block yields, wake-info
-resume values, timeout observation), kill/exit semantics parity with
-the threaded oracle, deadlock parity, and the shutdown contract
-(``leaked_threads`` / ``drained_accept_waiters``) for a core where
+Covers the factory, coroutine and callable bodies, the KernelOp
+protocol (charge/preempt/block yields, wake-info resume values,
+timeout observation), kill/exit semantics, body-form determinism
+parity, deadlock detection, and the shutdown contract
+(``leaked_threads`` / ``drained_accept_waiters``) for an engine where
 coroutine processes have no OS thread to leak.
 """
 
@@ -22,54 +21,23 @@ from repro.mmos.process import (
     co_charge,
     co_preempt,
 )
-from repro.mmos.scheduler import (
-    EXEC_CORES,
-    Engine,
-    create_engine,
-    default_exec_core,
-)
-
-BOTH_CORES = pytest.mark.parametrize("core", ["threaded", "coop"])
+from repro.mmos.scheduler import create_engine
 
 
-def make_engine(core="coop", **kw):
-    return create_engine(small_flex(8), exec_core=core, **kw)
+def make_engine(**kw):
+    return create_engine(small_flex(8), **kw)
 
 
 class TestCoreSelection:
     def test_factory_returns_the_right_class(self):
-        assert type(make_engine("threaded")) is Engine
-        assert type(make_engine("coop")) is CoopEngine
-        assert make_engine("threaded").exec_core == "threaded"
-        assert make_engine("coop").exec_core == "coop"
-
-    def test_bad_core_rejected(self):
-        with pytest.raises(ValueError, match="exec_core"):
-            make_engine("fibers")
-
-    def test_env_var_sets_default(self, monkeypatch):
-        monkeypatch.delenv("PISCES_EXEC_CORE", raising=False)
-        assert default_exec_core() == "coop"
-        monkeypatch.setenv("PISCES_EXEC_CORE", "threaded")
-        assert default_exec_core() == "threaded"
-        assert type(create_engine(small_flex(8))) is Engine
-        monkeypatch.setenv("PISCES_EXEC_CORE", "nope")
-        with pytest.raises(ValueError, match="PISCES_EXEC_CORE"):
-            default_exec_core()
-
-    def test_explicit_argument_beats_env(self, monkeypatch):
-        monkeypatch.setenv("PISCES_EXEC_CORE", "coop")
-        assert type(create_engine(small_flex(8),
-                                  exec_core="threaded")) is Engine
-
-    def test_exec_cores_constant(self):
-        assert EXEC_CORES == ("threaded", "coop")
+        eng = make_engine()
+        assert type(eng) is CoopEngine
+        assert eng.exec_core == "coop"
 
 
 class TestCoroutineBodies:
-    @BOTH_CORES
-    def test_basic_charge_preempt_block(self, core):
-        eng = make_engine(core)
+    def test_basic_charge_preempt_block(self):
+        eng = make_engine()
 
         def body():
             yield co_charge(10)
@@ -83,9 +51,8 @@ class TestCoroutineBodies:
         assert p.result == "done"
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_no_thread_for_coroutines_on_coop(self, core):
-        eng = make_engine(core)
+    def test_no_thread_for_coroutines_on_coop(self):
+        eng = make_engine()
         p = eng.spawn("w", 3, lambda: iter(()))  # not a genfunc: callable
         q = None
 
@@ -94,15 +61,12 @@ class TestCoroutineBodies:
 
         q = eng.spawn("g", 4, body)
         eng.run()
-        if core == "coop":
-            assert q.thread is None, "coroutine body must not get a thread"
-        else:
-            assert q.thread is not None
+        assert p.thread is not None, "a callable body runs on a thread"
+        assert q.thread is None, "coroutine body must not get a thread"
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_wake_info_is_the_yield_value(self, core):
-        eng = make_engine(core)
+    def test_wake_info_is_the_yield_value(self):
+        eng = make_engine()
         got = []
 
         def waiter():
@@ -121,9 +85,8 @@ class TestCoroutineBodies:
         assert got == [{"payload": 7}]
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_deadline_timeout_observable(self, core):
-        eng = make_engine(core)
+    def test_deadline_timeout_observable(self):
+        eng = make_engine()
         seen = []
 
         def body():
@@ -135,14 +98,13 @@ class TestCoroutineBodies:
         assert seen == [True]
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_now_and_charge_allowed_inside_gen_body(self, core):
-        eng = make_engine(core)
+    def test_now_and_charge_allowed_inside_gen_body(self):
+        eng = make_engine()
         stamps = []
 
         def body():
             stamps.append(eng.now())
-            eng.charge(25)            # plain call, allowed on both cores
+            eng.charge(25)            # plain call, allowed
             yield co_preempt(0)
             stamps.append(eng.now())
 
@@ -152,7 +114,7 @@ class TestCoroutineBodies:
         eng.shutdown()
 
     def test_blocking_kernel_call_from_gen_body_rejected_on_coop(self):
-        eng = make_engine("coop")
+        eng = make_engine()
 
         def body():
             eng.preempt(1)            # must yield co_preempt instead
@@ -163,9 +125,8 @@ class TestCoroutineBodies:
             eng.run()
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_non_kernelop_yield_rejected(self, core):
-        eng = make_engine(core)
+    def test_non_kernelop_yield_rejected(self):
+        eng = make_engine()
 
         def body():
             yield 42
@@ -175,9 +136,8 @@ class TestCoroutineBodies:
             eng.run()
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_body_exception_surfaces(self, core):
-        eng = make_engine(core)
+    def test_body_exception_surfaces(self):
+        eng = make_engine()
 
         def body():
             yield co_charge(1)
@@ -190,13 +150,10 @@ class TestCoroutineBodies:
 
 
 class TestKillSemantics:
-    @BOTH_CORES
-    def test_killed_coroutine_sees_generator_exit_not_processkilled(
-            self, core):
-        """Parity contract: the threaded trampoline raises ProcessKilled
-        *outside* the generator, so a body can only ever observe
-        GeneratorExit (via close) -- the coop core must match."""
-        eng = make_engine(core)
+    def test_killed_coroutine_sees_generator_exit_not_processkilled(self):
+        """A killed coroutine body only ever observes GeneratorExit
+        (via close), never ProcessKilled."""
+        eng = make_engine()
         observed = []
 
         def victim():
@@ -222,9 +179,8 @@ class TestKillSemantics:
         assert v.result is None
         eng.shutdown()
 
-    @BOTH_CORES
-    def test_on_exit_runs_for_killed_coroutine(self, core):
-        eng = make_engine(core)
+    def test_on_exit_runs_for_killed_coroutine(self):
+        eng = make_engine()
         log = []
 
         def victim():
@@ -245,8 +201,8 @@ class TestKillSemantics:
 
 
 class TestDeterminismParity:
-    def _mixed_run(self, core):
-        eng = make_engine(core)
+    def _mixed_run(self, coroutines):
+        eng = make_engine()
         eng.record_slices = True
         order = []
 
@@ -266,8 +222,9 @@ class TestDeterminismParity:
                     eng.preempt(2)
             return body
 
+        g_body = gen_body if coroutines else fn_body
         for k in range(4):
-            eng.spawn(f"g{k}", 3 + (k % 4), gen_body(f"g{k}", 5))
+            eng.spawn(f"g{k}", 3 + (k % 4), g_body(f"g{k}", 5))
             eng.spawn(f"f{k}", 3 + (k % 4), fn_body(f"f{k}", 5))
         eng.run()
         out = (order, list(eng.slices), eng.machine.clocks.snapshot(),
@@ -275,12 +232,13 @@ class TestDeterminismParity:
         eng.shutdown()
         return out
 
-    def test_mixed_body_population_identical_across_cores(self):
-        assert self._mixed_run("coop") == self._mixed_run("threaded")
+    def test_mixed_body_population_matches_all_callable(self):
+        """Half the processes as coroutines, half callable: the history
+        equals the same program with every body callable."""
+        assert self._mixed_run(True) == self._mixed_run(False)
 
-    @BOTH_CORES
-    def test_deadlock_detected_for_parked_coroutines(self, core):
-        eng = make_engine(core)
+    def test_deadlock_detected_for_parked_coroutines(self):
+        eng = make_engine()
 
         def body():
             yield co_block("park")
@@ -294,7 +252,7 @@ class TestDeterminismParity:
 
 class TestCoopShutdown:
     def test_gen_only_run_never_leaks_threads(self):
-        eng = make_engine("coop")
+        eng = make_engine()
 
         def parked():
             yield co_block("park")
@@ -310,7 +268,7 @@ class TestCoopShutdown:
         assert eng.drained_accept_waiters == ["acceptor"]
 
     def test_coroutine_finally_runs_at_shutdown_drain(self):
-        eng = make_engine("coop")
+        eng = make_engine()
         log = []
 
         def parked():
@@ -326,7 +284,7 @@ class TestCoopShutdown:
         assert eng.leaked_threads == []
 
     def test_no_user_threads_exist_in_a_gen_only_run(self):
-        eng = make_engine("coop")
+        eng = make_engine()
         before = threading.active_count()
 
         def body():
@@ -342,8 +300,8 @@ class TestCoopShutdown:
         eng.shutdown()
         assert eng.leaked_threads == []
 
-    def test_stuck_callable_body_reported_like_threaded_core(self):
-        eng = make_engine("coop")
+    def test_stuck_callable_body_reported_as_leaked(self):
+        eng = make_engine()
         release = threading.Event()
 
         def stubborn():
@@ -361,7 +319,7 @@ class TestCoopShutdown:
         release.set()
 
     def test_accept_waiter_callable_unwinds_with_engine_shutdown(self):
-        eng = make_engine("coop")
+        eng = make_engine()
         seen = []
 
         def waiter():

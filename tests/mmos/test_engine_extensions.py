@@ -156,18 +156,16 @@ class TestDispatcherSelection:
 
 
 class TestShutdownLeakReporting:
-    @pytest.mark.parametrize("core", ["threaded", "coop"])
-    def test_clean_shutdown_reports_no_leaks(self, core):
-        eng = make_engine(exec_core=core)
+    def test_clean_shutdown_reports_no_leaks(self):
+        eng = make_engine()
         eng.spawn("d", 3, lambda: eng.block("parked"), daemon=True)
         eng.spawn("t", 4, lambda: eng.charge(10))
         eng.run()
         eng.shutdown()
         assert eng.leaked_threads == []
 
-    @pytest.mark.parametrize("core", ["threaded", "coop"])
-    def test_stuck_thread_is_counted_and_warned(self, core):
-        eng = make_engine(exec_core=core)
+    def test_stuck_thread_is_counted_and_warned(self):
+        eng = make_engine()
         release = threading.Event()
 
         def stubborn():

@@ -10,11 +10,11 @@ from repro.errors import (
 )
 from repro.flex.presets import small_flex
 from repro.mmos.process import ProcState
-from repro.mmos.scheduler import Engine
+from repro.mmos.scheduler import create_engine
 
 
 def make_engine(n_pes=8, **kw):
-    return Engine(small_flex(n_pes), **kw)
+    return create_engine(small_flex(n_pes), **kw)
 
 
 class TestBasicExecution:

@@ -11,7 +11,7 @@ def test_manifest_records_all_execution_axes():
         m = run_manifest(vm)
     finally:
         vm.shutdown()
-    assert m["exec_core"] in ("threaded", "coop")
+    assert m["exec_core"] == "coop"
     assert m["task_bodies"] in ("auto", "callable")
     assert m["window_path"] in ("fast", "batched", "reference")
     assert m["dispatcher"]

@@ -14,7 +14,7 @@ from repro import api
 from repro.apps.jacobi import build_windows_registry
 from repro.core.tracing import TraceEventType
 from repro.flex.presets import small_flex
-from repro.mmos.scheduler import Engine
+from repro.mmos.scheduler import create_engine
 from repro.obs.profile import (
     CausalProfiler,
     extract_critical_path,
@@ -39,7 +39,7 @@ PES = list(range(3, 11))    # small_flex(8) MMOS PEs
 
 
 def make_engine():
-    eng = Engine(small_flex(8))
+    eng = create_engine(small_flex(8))
     prof = CausalProfiler()
     eng.prof_hook = prof
     return eng, prof

@@ -1,6 +1,8 @@
 """Concurrency-invariance property: N ``run_app`` invocations from a
 thread pool are each bit-identical (virtual time + trace stream) to
-the same runs executed serially -- on both execution cores.
+the same runs executed serially -- for both task-body vehicles
+(coroutine bodies on the engine thread, callable bodies on worker
+threads).
 
 This is the property the run service's worker pool stands on: VMs
 share a process but no mutable state that affects scheduling, so
@@ -25,19 +27,19 @@ WORKLOADS = [
 ]
 
 
-def run_one(i: int, exec_core: str):
+def run_one(i: int, task_bodies: str):
     label, make_reg, tasktype, args = WORKLOADS[i % len(WORKLOADS)]
     r = run_app(tasktype, *args, registry=make_reg(),
-                exec_core=exec_core, trace_events=_ALL_TRACE_EVENTS)
+                task_bodies=task_bodies, trace_events=_ALL_TRACE_EVENTS)
     return (label, r.elapsed, [e.line() for e in r.vm.tracer.events])
 
 
-@pytest.mark.parametrize("exec_core", ["threaded", "coop"])
-def test_thread_pool_runs_bit_identical_to_serial(exec_core):
+@pytest.mark.parametrize("task_bodies", ["auto", "callable"])
+def test_thread_pool_runs_bit_identical_to_serial(task_bodies):
     n = 6
-    serial = [run_one(i, exec_core) for i in range(n)]
+    serial = [run_one(i, task_bodies) for i in range(n)]
     with ThreadPoolExecutor(max_workers=4) as pool:
-        concurrent = list(pool.map(lambda i: run_one(i, exec_core),
+        concurrent = list(pool.map(lambda i: run_one(i, task_bodies),
                                    range(n)))
     for i, (ser, conc) in enumerate(zip(serial, concurrent)):
         label, ser_elapsed, ser_trace = ser
@@ -46,8 +48,8 @@ def test_thread_pool_runs_bit_identical_to_serial(exec_core):
         assert conc_trace == ser_trace, (label, i)
 
 
-@pytest.mark.parametrize("exec_core", ["threaded", "coop"])
-def test_concurrent_fault_plans_stay_with_their_run(exec_core):
+@pytest.mark.parametrize("task_bodies", ["auto", "callable"])
+def test_concurrent_fault_plans_stay_with_their_run(task_bodies):
     """Fault-plan ambient scoping under concurrency: a chaos run and a
     clean run of the same app, in parallel, each matching its own
     serial reference."""
@@ -56,11 +58,11 @@ def test_concurrent_fault_plans_stay_with_their_run(exec_core):
     plan = FaultPlan(seed=3, kills=(TaskKill(at=200, tasktype="SPIN"),))
 
     def clean():
-        return run_one(2, exec_core)
+        return run_one(2, task_bodies)
 
     def chaotic():
         with plan_scope(plan):
-            return run_one(2, exec_core)
+            return run_one(2, task_bodies)
 
     ref_clean, ref_chaotic = clean(), chaotic()
     assert ref_clean[1] != ref_chaotic[1] or ref_clean[2] != ref_chaotic[2]

@@ -1,17 +1,16 @@
-"""Property test: every core x dispatcher leg produces identical traces.
+"""Property test: every picker x body-form leg produces identical traces.
 
 Hypothesis drives randomized spawn/wake/kill/deadline schedules through
 engines that differ only in dispatcher implementation (two-level heap
-vs the O(n) reference scan) and execution core (thread-per-process vs
-the coop discrete-event loop), and demands the complete slice trace --
-(pe, start, end, name) for every slice, in dispatch order -- plus the
-final PE clock readings and the outcome (normal completion or
-deadlock) be identical.  This is the stale-free heap's bookkeeping
-under adversarial interleavings: re-keys after PE clock advances,
-deadline wakeups, wakes that beat deadlines, kills of blocked and
-ready processes -- and the coop core's handoff replacement under the
-same schedules, for both body forms (callable bodies on worker
-threads, coroutine bodies on the engine thread).
+vs the O(n) reference scan) and body form (callable bodies on worker
+threads vs coroutine bodies on the engine thread), and demands the
+complete slice trace -- (pe, start, end, name) for every slice, in
+dispatch order -- plus the final PE clock readings and the outcome
+(normal completion or deadlock) be identical.  This is the stale-free
+heap's bookkeeping under adversarial interleavings: re-keys after PE
+clock advances, deadline wakeups, wakes that beat deadlines, kills of
+blocked and ready processes -- and both handoffs under the same
+schedules.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -45,10 +44,8 @@ schedule = st.lists(
     min_size=1, max_size=6)
 
 
-def run_schedule(dispatcher, procs, exec_core="threaded",
-                 coroutine=False):
-    eng = create_engine(small_flex(8), dispatcher=dispatcher,
-                        exec_core=exec_core)
+def run_schedule(dispatcher, procs, coroutine=False):
+    eng = create_engine(small_flex(8), dispatcher=dispatcher)
     eng.record_slices = True
     handles = []
 
@@ -122,51 +119,31 @@ def test_dispatchers_produce_identical_slice_traces(procs):
 
 @given(schedule)
 @settings(max_examples=25, deadline=None)
-def test_coop_core_matches_threaded_on_both_dispatchers(procs):
-    """Core x dispatcher matrix on callable bodies: the coop core's
-    worker-thread handoff must retrace the threaded oracle under both
-    pickers."""
-    ref = run_schedule("indexed", procs, exec_core="threaded")
+def test_coroutine_bodies_match_callable_bodies_on_both_dispatchers(procs):
+    """Body-form invariance: the generator form of the same program,
+    resumed on the engine thread, must retrace the callable form on
+    worker threads exactly, under both pickers."""
+    ref = run_schedule("indexed", procs)
     for dispatcher in ("indexed", "scan"):
-        got = run_schedule(dispatcher, procs, exec_core="coop")
+        got = run_schedule(dispatcher, procs, coroutine=True)
         assert got == ref, (
-            f"coop x {dispatcher} diverged from threaded x indexed:\n"
-            f" coop={got}\n threaded={ref}")
-
-
-@given(schedule)
-@settings(max_examples=25, deadline=None)
-def test_coroutine_bodies_match_callable_bodies_on_both_cores(procs):
-    """Body-form invariance: the generator form of the same program
-    (run natively by the coop loop, and via the kernel trampoline on
-    the threaded core) must retrace the callable form exactly."""
-    ref = run_schedule("indexed", procs, exec_core="threaded")
-    for exec_core in ("threaded", "coop"):
-        got = run_schedule("indexed", procs, exec_core=exec_core,
-                           coroutine=True)
-        assert got == ref, (
-            f"coroutine bodies on {exec_core} diverged from callable "
-            f"bodies:\n got={got}\n ref={ref}")
+            f"coroutine bodies x {dispatcher} diverged from callable "
+            f"bodies x indexed:\n got={got}\n ref={ref}")
 
 
 # --------------------------------------------------------------- app zoo --
 #
-# The hypothesis properties above exercise raw engine schedules; the
-# matrix below runs every full application in the repo across
-# {threaded, coop} x {auto, callable} task-body vehicles and demands
-# identical virtual time, dispatch counts and complete trace streams.
-# This is the task-runtime acceptance contract: a PISCES program's
-# observable history does not depend on how its bodies are executed.
+# The cases below are every full application in the repo at test sizes.
+# ``test_golden_digests`` pins each one's trace, dispatch stream and end
+# state for both task-body vehicles; here they must also run without a
+# single worker thread when their bodies are coroutines.
 
 import dataclasses
 
 import pytest
 
 from repro.config.configuration import ClusterSpec, Configuration
-from repro.core.tracing import TraceEventType
 from repro.core.vm import PiscesVM
-
-_ALL_EVENTS = tuple(t.value for t in TraceEventType)
 
 
 def _two_clusters(slots):
@@ -265,46 +242,16 @@ APP_CASES = {
     "chaos_jacobi": _case_chaos_jacobi,
 }
 
-_LEGS = (("threaded", "auto"), ("threaded", "callable"),
-         ("coop", "auto"), ("coop", "callable"))
-
-
-def _run_app_leg(case, exec_core, task_bodies):
-    registry, config, tasktype, args = case()
-    config = dataclasses.replace(config, exec_core=exec_core,
-                                 task_bodies=task_bodies,
-                                 trace_events=_ALL_EVENTS)
-    vm = PiscesVM(config, registry=registry)
-    r = vm.run(tasktype, *args)
-    return {
-        "elapsed": r.elapsed,
-        "dispatches": vm.engine.dispatch_count,
-        "trace": [e.line() for e in vm.tracer.events],
-    }
-
-
-@pytest.mark.parametrize("app", sorted(APP_CASES))
-def test_app_zoo_identical_across_cores_and_vehicles(app):
-    ref = _run_app_leg(APP_CASES[app], "threaded", "auto")
-    assert ref["trace"], "tracing must be live for the comparison to bite"
-    for exec_core, task_bodies in _LEGS[1:]:
-        got = _run_app_leg(APP_CASES[app], exec_core, task_bodies)
-        assert got == ref, (
-            f"{app}: {exec_core}/{task_bodies} diverged from "
-            f"threaded/auto (elapsed {got['elapsed']} vs {ref['elapsed']})")
-
-
 @pytest.mark.parametrize("app", sorted(APP_CASES))
 def test_app_zoo_runs_threadless_on_coop(app):
-    """On the coop core with coroutine bodies nothing gets an OS
-    thread: controllers, task bodies and force members all suspend at
-    the KernelOp seam on the engine thread."""
+    """With coroutine bodies nothing gets an OS thread: controllers,
+    task bodies and force members all suspend at the KernelOp seam on
+    the engine thread."""
     registry, config, tasktype, args = APP_CASES[app]()
-    config = dataclasses.replace(config, exec_core="coop",
-                                 task_bodies="auto")
+    config = dataclasses.replace(config, task_bodies="auto")
     vm = PiscesVM(config, registry=registry)
     vm.run(tasktype, *args)
     procs = vm.engine._by_ordinal
     assert procs, "the run must have spawned processes"
-    threaded = [p.name for p in procs if p.thread is not None]
-    assert not threaded, f"worker threads on coop: {threaded}"
+    with_threads = [p.name for p in procs if p.thread is not None]
+    assert not with_threads, f"worker threads: {with_threads}"

@@ -4,7 +4,7 @@ For any app in the dispatcher-identity matrix and either window
 data-plane path, the profiler's complete observable output -- wait
 totals by category, the per-task rollup, and the extracted critical
 path -- must be bit-identical across the ``indexed`` and ``scan``
-dispatchers, across the ``threaded`` and ``coop`` execution cores,
+dispatchers, across the ``auto`` and ``callable`` task-body vehicles,
 and across a record/replay cycle where the recording run
 did NOT profile but the replay does (attaching the profiler to a
 replay reproduces the original run's profile exactly).
@@ -84,12 +84,13 @@ def test_profile_is_dispatcher_and_window_path_independent(
     assert indexed == scan, (
         f"{name}/{window_path}: profile diverged between dispatchers")
 
-    # The profiler's prof_hook is execution-core-agnostic: the coop
-    # core must reproduce the threaded core's profile bit for bit.
-    coop = _run(fn, {**base, "PISCES_DISPATCHER": "indexed",
-                     "PISCES_EXEC_CORE": "coop"})
-    assert coop == indexed, (
-        f"{name}/{window_path}: profile diverged between execution cores")
+    # The profiler's prof_hook is body-form-agnostic: callable bodies
+    # on worker threads must reproduce the coroutine profile bit for bit.
+    callable_ = _run(fn, {**base, "PISCES_DISPATCHER": "indexed",
+                          "PISCES_TASK_BODIES": "callable"})
+    assert callable_ == indexed, (
+        f"{name}/{window_path}: profile diverged between task-body "
+        f"vehicles")
 
     # Record WITHOUT the profiler, replay WITH it: the profile of the
     # replay must reproduce the profiled originals bit for bit.

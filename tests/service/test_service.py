@@ -50,9 +50,28 @@ class TestSubmitAndRun:
         rec = svc.submit("alice", QUICK)
         final = wait_state(svc, rec.run_id, DONE)
         assert final.provenance["task_bodies"] in ("auto", "callable")
-        assert final.provenance["exec_core"] in ("threaded", "coop")
+        assert final.provenance["exec_core"] == "coop"
         assert final.provenance["dispatcher"]
         assert final.provenance["window_path"]
+
+    def test_archive_failure_is_recorded(self, svc, monkeypatch):
+        """A failing archive step does not stop the run reaching DONE;
+        the step and its error land in the stored record."""
+        import json
+
+        from repro.service import executor
+
+        def broken_export(*args, **kwargs):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(executor, "export_run", broken_export)
+        rec = svc.submit("alice", QUICK)
+        final = wait_state(svc, rec.run_id, DONE)
+        want = [{"step": "export", "error": "OSError: disk full"}]
+        assert final.exit["archive_errors"] == want
+        stored = json.loads(svc.store.record_path(rec.run_id).read_text())
+        assert stored["exit"]["archive_errors"] == want
+        assert stored["provenance"]["exec_core"] == "coop"
 
     def test_bad_tenant_refused(self, svc):
         with pytest.raises(InvalidRunSpec, match="tenant"):

@@ -15,10 +15,22 @@ class TestRoundTrip:
     def test_full_round_trip(self):
         s = RunSpec(app="chaos_jacobi", params={"n": 16, "sweeps": 2},
                     fault_plan="pisces-fault-plan v1\n", trace=True,
-                    checkpoint_every=5000, exec_core="coop",
+                    checkpoint_every=5000,
                     window_path="batched", task_bodies="callable",
                     run_seed=42)
         assert RunSpec.from_dict(s.to_dict()) == s
+
+    @pytest.mark.parametrize("core", ["", "coop", "threaded"])
+    def test_stored_exec_core_is_accepted_and_dropped(self, core):
+        """Specs stored when the execution core was selectable carry an
+        ``exec_core`` field; every core gave the identical run."""
+        from repro.service.store import RunRecord
+        d = {"app": "jacobi", "params": {"n": 10}, "exec_core": core}
+        assert RunSpec.from_dict(d) == RunSpec(app="jacobi",
+                                               params={"n": 10})
+        rec = RunRecord.from_dict({"run_id": "r1", "tenant": "alice",
+                                   "spec": d})
+        assert rec.spec == RunSpec(app="jacobi", params={"n": 10})
 
     def test_dict_is_json_stable(self):
         import json
@@ -38,7 +50,7 @@ class TestValidation:
 
     def test_bad_exec_core_refused(self):
         with pytest.raises(InvalidRunSpec, match="exec_core"):
-            RunSpec(app="jacobi", exec_core="quantum")
+            RunSpec.from_dict({"app": "jacobi", "exec_core": "quantum"})
 
     def test_bad_window_path_refused(self):
         with pytest.raises(InvalidRunSpec, match="window_path"):
