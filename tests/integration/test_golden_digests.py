@@ -25,6 +25,17 @@ Runs under a fault plan also digest the fault-event stream
   ``_ckpt_runner.py``, uninterrupted; a run restored from a mid-run
   checkpoint must reproduce the same golden.
 
+The *observed* leg re-runs the app zoo and the Fortran programs with
+every observer on -- metrics, the causal profiler and the race detector
+in record mode.  It must reproduce the unobserved trace, dispatch and
+state digests exactly (observation charges no virtual time), and it
+pins what the observers saw under ``observed_<app>``:
+
+* ``metrics`` -- the metrics registry's snapshot at run end;
+* ``profile`` -- the profiler's virtual-time record: every slice and
+  attributed wait (pids replaced by spawn ordinals, the slice's host
+  ``wall`` field dropped) and the critical path.
+
 The goldens were generated on the thread-per-process core that earlier
 builds carried next to today's engine; the two agreed on every entry
 before that core was removed.  They are asserted for both task-body
@@ -57,6 +68,7 @@ from repro.core.vm import PiscesVM
 from repro.correctness import ScheduleRecorder
 from repro.faults import RESTART, FaultPlan
 from repro.flex.presets import small_flex
+from repro.obs.profile import extract_critical_path
 from tests.integration import _ckpt_runner as ckpt_runner
 from tests.integration.test_chaos import CRASH_PLAN, LOSSY, delay_plan
 from tests.properties.test_dispatch_equivalence import APP_CASES
@@ -233,8 +245,60 @@ def ckpt_restored_digests(scenario: str, ckpt_dir: Path,
         rr.vm.shutdown()
 
 
+# ------------------------------------------------------------- observed --
+
+def _profile_record(vm, elapsed: int) -> dict:
+    """The profiler's virtual-time outputs with run-specific identities
+    normalised: kernel pids come from a process-global counter, so they
+    are replaced by spawn ordinals, and host wall time is dropped."""
+    ordinal = {p.pid: p.spawn_ordinal for p in vm.engine.processes()}
+
+    def cause(c):
+        # Spawn causes name the parent's pid, wake causes the waker's.
+        if c[0] == "spawn":
+            return [c[0], ordinal.get(c[1]), c[2]]
+        if c[0] == "woken":
+            return [*c[:4], ordinal.get(c[4])]
+        return list(c)
+
+    prof = vm.profiler
+    slices = [[s.seq, ordinal[s.pid], s.name, s.pe, s.start, s.end,
+               s.new_state, cause(s.cause)] for s in prof.slices()]
+    waits = [[ordinal[w.pid], w.name, w.pe, w.category, w.reason,
+              w.start, w.end] for w in prof.waits()]
+    path = extract_critical_path(prof, elapsed=elapsed).as_dict()
+    return {"slices": slices, "waits": waits, "critical_path": path}
+
+
+def observed_digests(app: str, task_bodies: str = "") -> dict:
+    """Run ``app`` with metrics, the causal profiler and the race
+    detector (record mode) on: the usual digests plus digests of what
+    the observers recorded."""
+    registry, config, tasktype, args, machine = CASES[app]()
+    config = dataclasses.replace(config, task_bodies=task_bodies,
+                                 trace_events=_ALL_EVENTS,
+                                 metrics_enabled=True, profile=True,
+                                 detect_races=True)
+    vm = PiscesVM(config, registry=registry, machine=machine)
+    vm.engine.record_slices = True
+    try:
+        r = vm.run(tasktype, *args)
+        assert vm.race_detector is not None and vm.profiler is not None
+        digests = _digests(vm, r.elapsed)
+        observed = {
+            "metrics": _sha(json.dumps(vm.metrics.snapshot(),
+                                       sort_keys=True)),
+            "profile": _sha(json.dumps(_profile_record(vm, r.elapsed))),
+        }
+        return digests, observed
+    finally:
+        vm.shutdown()
+
+
 def all_goldens(task_bodies: str) -> dict:
     goldens = {app: app_digests(app, task_bodies) for app in sorted(CASES)}
+    goldens.update({f"observed_{app}": observed_digests(app, task_bodies)[1]
+                    for app in sorted(CASES)})
     goldens.update({name: chaos_digests(name, task_bodies)
                     for name in CHAOS})
     goldens[REPLAY] = replay_digests(task_bodies)[0]
@@ -249,7 +313,8 @@ def load_goldens() -> dict:
 
 def test_goldens_cover_every_app():
     assert sorted(load_goldens()) == sorted(
-        [*CASES, *CHAOS, REPLAY, *(f"ckpt_{s}" for s in CKPT)])
+        [*CASES, *(f"observed_{app}" for app in CASES), *CHAOS, REPLAY,
+         *(f"ckpt_{s}" for s in CKPT)])
 
 
 VEHICLES = pytest.mark.parametrize("task_bodies", ["", "callable"],
@@ -260,6 +325,15 @@ VEHICLES = pytest.mark.parametrize("task_bodies", ["", "callable"],
 @pytest.mark.parametrize("app", sorted(CASES))
 def test_app_matches_golden_digests(app, task_bodies):
     assert app_digests(app, task_bodies) == load_goldens()[app]
+
+
+@VEHICLES
+@pytest.mark.parametrize("app", sorted(CASES))
+def test_observed_app_matches_golden_digests(app, task_bodies):
+    digests, observed = observed_digests(app, task_bodies)
+    goldens = load_goldens()
+    assert digests == goldens[app]
+    assert observed == goldens[f"observed_{app}"]
 
 
 @VEHICLES
