@@ -1,14 +1,14 @@
-"""Periodic checkpointing: the engine's ``_ckpt_pump`` hook.
+"""Periodic checkpointing: an engine observer of between-slices events.
 
-Installed by :class:`~repro.core.vm.PiscesVM` when
+Subscribed by :class:`~repro.core.vm.PiscesVM` when
 ``Configuration.checkpoint_every`` (or ``PISCES_CHECKPOINT=``) is set.
-The pump runs at the top of every engine step, *before* the dispatcher
-picks -- the one point where the VM is between dispatches and the state
-digest is well-defined.  An unchecked run pays a single attribute test
-per step.
+``between_slices`` runs at the top of every engine step, *before* the
+dispatcher picks -- the one point where the VM is between dispatches
+and the state digest is well-defined.  An unchecked run is not
+subscribed at all.
 
 Checkpoint marks are derived from virtual time, not from "every N
-pumps": the next mark after ``now`` is ``(now // every + 1) * every``.
+steps": the next mark after ``now`` is ``(now // every + 1) * every``.
 That makes the mark sequence a pure function of the virtual clock, so
 a restored run re-crosses the *same* marks during its replay and
 rewrites byte-identical bundles -- re-checkpointing composes across
@@ -22,11 +22,12 @@ from pathlib import Path
 from typing import Optional, Union
 
 from ..errors import CheckpointError
+from ..mmos.scheduler import EngineObserver
 from .format import checkpoint_filename
 from .restore import checkpoint_vm
 
 
-class PeriodicCheckpointer:
+class PeriodicCheckpointer(EngineObserver):
     """Write a ``.pckpt`` bundle every ``every`` virtual ticks."""
 
     def __init__(self, vm, every: int, directory: Union[str, Path] = ".",
@@ -41,13 +42,13 @@ class PeriodicCheckpointer:
         self.directory = Path(directory)
         self.keep = int(keep)
         #: Next virtual tick at or past which a bundle is due; lazily
-        #: derived from the clock at the first pump so fresh runs and
+        #: derived from the clock at the first step so fresh runs and
         #: restored runs (which start mid-clock) mark identically.
         self.next_mark: Optional[int] = None
         self.written = 0
         self._warned = False
 
-    def pump(self, engine) -> None:
+    def between_slices(self, engine) -> None:
         now = engine._now
         if self.next_mark is None:
             self.next_mark = (now // self.every + 1) * self.every

@@ -37,7 +37,7 @@ from ..flex.machine import FlexMachine
 from ..flex.presets import nasa_langley_flex32
 from ..mmos.kernel import MMOSKernel
 from ..mmos.process import co_block, co_preempt, drive_kernel_ops
-from ..obs.metrics import MetricsRegistry
+from ..obs.metrics import EngineMetrics, MetricsRegistry
 from ..results import RunRecord
 from ..mmos.loader import (
     CAT_MMOS_KERNEL,
@@ -291,8 +291,12 @@ class PiscesVM:
         #: Observability registry (see :mod:`repro.obs`).  Disabled by
         #: default; every instrumentation site guards on ``.enabled`` so
         #: an unmetered run pays one attribute test per site at most.
-        self.metrics = MetricsRegistry(enabled=config.metrics_enabled)
-        self.engine.metrics = self.metrics
+        #: The engine's own counters come from an observer that
+        #: :meth:`enable_metrics` subscribes.
+        self.metrics = MetricsRegistry(enabled=False)
+        self._engine_metrics = EngineMetrics(self.metrics)
+        if config.metrics_enabled:
+            self.enable_metrics()
         self.tracer.metrics = self.metrics
         self.default_accept_delay = config.default_accept_delay
         #: System-wide ACCEPT timeout escalation (satellite 2); None
@@ -336,7 +340,7 @@ class PiscesVM:
             from ..checkpoint.policy import PeriodicCheckpointer
             self.checkpointer = PeriodicCheckpointer(
                 self, every=ck_every, directory=ck_dir, keep=ck_keep)
-            self.engine._ckpt_pump = self.checkpointer.pump
+            self.engine.observers.append(self.checkpointer)
 
         self.clusters: Dict[int, ClusterRuntime] = {}
         self.tasks: Dict[TaskId, Task] = {}
@@ -360,9 +364,13 @@ class PiscesVM:
         """Turn on the observability registry (live, e.g. from the
         monitor); already-running components see it immediately."""
         self.metrics.enabled = True
+        if self._engine_metrics not in self.engine.observers:
+            self.engine.observers.append(self._engine_metrics)
 
     def disable_metrics(self) -> None:
         self.metrics.enabled = False
+        if self._engine_metrics in self.engine.observers:
+            self.engine.observers.remove(self._engine_metrics)
 
     # ------------------------------------------------------------- races --
 
@@ -383,7 +391,7 @@ class PiscesVM:
         from ..correctness.detector import RaceDetector
         det = RaceDetector(self, mode=mode or "record")
         self.race_detector = det
-        self.engine.hb_hook = det
+        self.engine.observers.append(det)
         return det
 
     # ---------------------------------------------------------- profiling --
@@ -400,7 +408,7 @@ class PiscesVM:
         if self.profiler is None:
             from ..obs.profile import CausalProfiler
             self.profiler = CausalProfiler()
-            self.engine.prof_hook = self.profiler
+            self.engine.observers.append(self.profiler)
         return self.profiler
 
     def _metric_name_of(self, tid: TaskId) -> str:

@@ -44,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Any, Deque, Dict, FrozenSet, List, Optional, Tuple, TYPE_CHECKING
 
 from ..errors import RaceError, RaceWarning
+from ..mmos.scheduler import EngineObserver
 
 if TYPE_CHECKING:  # pragma: no cover
     from ..core.vm import PiscesVM
@@ -149,11 +150,11 @@ class _Access:
         self.ops = ops
 
 
-class RaceDetector:
+class RaceDetector(EngineObserver):
     """Vector clocks + locksets over one VM's run.
 
-    Installed as the engine's ``hb_hook`` and threaded through the
-    run-time library's instrumentation sites; ``None`` everywhere when
+    Subscribed to the engine's observer list (spawn and wake edges) and
+    threaded through the run-time library's instrumentation sites; ``None`` everywhere when
     detection is off.  ``mode`` selects the reporting channel:
     ``"record"`` collects (default), ``"warn"`` also emits a
     :class:`~repro.errors.RaceWarning`, ``"raise"`` raises
@@ -227,11 +228,14 @@ class RaceDetector:
             self.edge_log = HBEdgeLog(cap=cap)
         return self.edge_log
 
-    # ------------------------------------------------- engine HB hooks --
+    # --------------------------------------------- engine HB events --
 
     def on_spawn(self, parent, child) -> None:
         """Everything the parent did before spawning happens-before the
-        child's first slice."""
+        child's first slice.  Spawns from outside a process (boot, the
+        monitor) carry no edge."""
+        if parent is None:
+            return
         snap = self._snapshot_and_tick(parent.pid)
         self._join(self._clock(child.pid), snap)
         log = self.edge_log
@@ -239,9 +243,12 @@ class RaceDetector:
             log.append("spawn", parent.pid, child.pid,
                        self.vm.engine.now(), child.name)
 
-    def on_wake(self, waker, wakee) -> None:
+    def on_wake(self, waker, wakee, at) -> None:
         """A wake is a causal edge: the wakee resumes after the waker's
-        action (force join, barrier release, lock grant, message)."""
+        action (force join, barrier release, lock grant, message).
+        External wakes (the monitor) carry none."""
+        if waker is None:
+            return
         snap = self._snapshot_and_tick(waker.pid)
         self._join(self._clock(wakee.pid), snap)
         log = self.edge_log

@@ -2,7 +2,7 @@
 
 :class:`CoopEngine` is the one engine class a run uses.  Its base,
 :class:`~repro.mmos.scheduler.Engine`, holds the scheduling policy
-(picker, dispatch keys, fault/hb/prof/sched hooks, slice accounting);
+(picker, dispatch keys, hooks and observers, slice accounting);
 this class supplies the handoff that runs a dispatched slice.  PISCES 2
 multiprograms many processes on each PE under MMOS (DESIGN.md section
 3); here a context switch is a generator switch (~0.1us), not an OS
@@ -194,10 +194,6 @@ class CoopEngine(Engine):
                     p.pending_cost += op.cost
                     p.timed_out = False
                     p.wake_info = None
-                    m = self.metrics
-                    if m is not None and m.enabled:
-                        m.counter("blocks",
-                                  reason=op.reason.split("(", 1)[0]).inc()
                     self._settle_yield(p, ProcState.BLOCKED, op.reason,
                                        op.deadline)
                 return

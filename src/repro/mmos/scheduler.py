@@ -37,13 +37,24 @@ The default can be forced with the ``PISCES_DISPATCHER`` environment
 variable (``indexed`` or ``scan``).
 
 This module holds only scheduling *policy*: the pickers, the dispatch
-keys, the hooks, slice settling and the ``step``/``run``/``shutdown``
-loops.  How a dispatched process actually runs its slice is the
+keys, the steering hooks, the observer list, slice settling and the
+``step``/``run``/``shutdown`` loops.  How a dispatched process actually runs its slice is the
 execution vehicle's job, :class:`repro.mmos.coop.CoopEngine`, which
 :func:`create_engine` builds: coroutine bodies resume by a plain
 function call on the engine thread, callable bodies on a pinned worker
 thread.  Committed golden digests (``tests/integration/
 test_golden_digests.py``) pin the history that vehicle produces.
+
+``step`` is the one dispatch body; ``run`` and ``run_while`` drive it.
+What a run does besides dispatching comes in two kinds.  Hooks that
+*steer* it keep their own slots: ``sched_hook`` (record/replay),
+``_fault_pump`` (fault injection), ``on_idle_check`` (the service's kill
+seam) and ``time_limit``.  Everything that only *watches* it -- the race
+detector, the causal profiler, the periodic checkpointer, the metrics
+counters -- is an :class:`EngineObserver` on ``engine.observers`` and
+sees one fixed event set: spawn, wake, kill, between-slices and
+slice-end.  Each event site costs one truthiness test of that list, so
+an unobserved run pays nothing else.
 """
 
 from __future__ import annotations
@@ -96,6 +107,39 @@ def create_engine(machine: FlexMachine, time_limit: Optional[int] = None,
     from .coop import CoopEngine
     return CoopEngine(machine, time_limit=time_limit,
                       dispatcher=dispatcher, schedule=schedule)
+
+
+class EngineObserver:
+    """A pure observer of the engine's event stream.
+
+    Subscribe by appending to ``engine.observers``; override the events
+    you need.  Observers never charge ticks, wake or block anything, or
+    touch scheduling state, so a run is bit-identical with any set of
+    them installed.  ``parent``/``waker`` is the running process when
+    the event comes from inside a slice, else None (the monitor, boot).
+    """
+
+    def on_spawn(self, parent: Optional[KernelProcess],
+                 p: KernelProcess) -> None:
+        """``p`` was created (it is READY at ``p.ready_time``)."""
+
+    def on_wake(self, waker: Optional[KernelProcess], p: KernelProcess,
+                at: int) -> None:
+        """Blocked ``p`` was made runnable by an event at tick ``at``."""
+
+    def on_kill(self, p: KernelProcess, at: int) -> None:
+        """Blocked ``p`` was killed at tick ``at`` (it unwinds next)."""
+
+    def between_slices(self, engine: "Engine") -> None:
+        """Top of a dispatch step, before the pick and any fault: the
+        engine is between slices, the state a restore reconstructs."""
+
+    def on_slice(self, p: KernelProcess, start: int, end: int,
+                 state: ProcState, reason: str, deadline: Optional[int],
+                 wall: float) -> None:
+        """A dispatched slice ran ``[start, end)`` and left ``p`` in
+        ``state`` (with its block ``reason``/``deadline``); ``wall`` is
+        the host seconds it took."""
 
 
 class Engine:
@@ -163,13 +207,10 @@ class Engine:
         #: fault plan is installed -- the zero-fault cost is one
         #: attribute test per dispatch.
         self._fault_pump: Optional[Callable[[Optional[int]], bool]] = None
-        #: Periodic-checkpoint hook (see :mod:`repro.checkpoint`):
-        #: called with this engine at the top of every dispatch step,
-        #: before the pick and before any fault can fire for the step --
-        #: the engine is between slices there, which is exactly the
-        #: state a restore reconstructs.  A checkpointer is a pure
-        #: observer (zero virtual time); None costs one attribute test.
-        self._ckpt_pump: Optional[Callable[["Engine"], None]] = None
+        #: Pure observers of the event stream (see EngineObserver): the
+        #: race detector, the causal profiler, the periodic checkpointer
+        #: and the metrics subscriber.  Empty for an unobserved run.
+        self.observers: List[EngineObserver] = []
         #: When True, every executed slice is appended to ``slices`` as
         #: (pe, start, end, process name) -- the raw material for the
         #: per-PE timeline in :mod:`repro.analysis`.
@@ -178,19 +219,6 @@ class Engine:
         #: Hook invoked (from the engine thread, between slices) after
         #: every dispatch; the execution-environment monitor uses it.
         self.on_idle_check: Optional[Callable[[], None]] = None
-        #: Optional MetricsRegistry (wired by the VM).  Observations are
-        #: pure bookkeeping -- they never influence dispatch order.
-        self.metrics = None
-        #: Happens-before hook (the race detector, or None).  Called on
-        #: spawn and in-process wakes; observers only -- they never
-        #: charge ticks or change scheduling state.
-        self.hb_hook: Optional[Any] = None
-        #: Causal-profiler hook (see :mod:`repro.obs.profile`), or None.
-        #: Called on spawn, wake, kill and once per completed slice;
-        #: like the other hooks it is a pure observer -- it never
-        #: charges ticks, never changes scheduling state, and costs one
-        #: attribute test per site when off.
-        self.prof_hook: Optional[Any] = None
         #: Per-run spawn ordinals: kernel pids come from a process-global
         #: counter and are not stable across runs, so the schedule
         #: artifact identifies processes by spawn order instead.
@@ -249,12 +277,10 @@ class Engine:
         sh = self.sched_hook
         if sh is not None:
             sh.on_spawn(p.spawn_ordinal, p.name)
-        hb = self.hb_hook
-        if hb is not None and self.in_process():
-            hb.on_spawn(self._current, p)
-        pr = self.prof_hook
-        if pr is not None:
-            pr.on_spawn(self._current if self.in_process() else None, p)
+        if self.observers:
+            parent = self.caller()
+            for o in self.observers:
+                o.on_spawn(parent, p)
         p.is_coroutine = inspect.isgeneratorfunction(target)
         self._procs[p.pid] = p
         self._requeue(p)
@@ -286,9 +312,6 @@ class Engine:
         end = p.clock.run(p.slice_start, cost)
         if self.record_slices and cost > 0:
             self.slices.append((p.pe, end - cost, end, p.name))
-        m = self.metrics
-        if m is not None and m.enabled and cost > 0:
-            m.histogram("slice_ticks", pe=p.pe).observe(cost)
         p.pending_cost = 0
         p.ready_time = end
         if p.killed and new_state is ProcState.BLOCKED:
@@ -367,11 +390,6 @@ class Engine:
         p.pending_cost += cost
         p.timed_out = False
         p.wake_info = None
-        m = self.metrics
-        if m is not None and m.enabled:
-            # Reason strings carry dynamic detail after "("; keep the
-            # label cardinality bounded by the static prefix.
-            m.counter("blocks", reason=reason.split("(", 1)[0]).inc()
         self._yield(p, ProcState.BLOCKED, reason=reason, deadline=deadline)
         return p.wake_info
 
@@ -385,15 +403,11 @@ class Engine:
         """
         if p.state is not ProcState.BLOCKED:
             return False
-        hb = self.hb_hook
-        if hb is not None and self.in_process():
-            # A wake is a causal edge (the wakee resumes after the
-            # waker's action); external wakes (the monitor) carry none.
-            hb.on_wake(self._current, p)
         t = self.now() if at_time is None else at_time
-        pr = self.prof_hook
-        if pr is not None:
-            pr.on_wake(self._current if self.in_process() else None, p, t)
+        if self.observers:
+            waker = self.caller()
+            for o in self.observers:
+                o.on_wake(waker, p, t)
         p.ready_time = max(p.ready_time, t)
         p.deadline = None
         p.wake_info = info
@@ -412,9 +426,8 @@ class Engine:
             p.deadline = None
             p.blocked_on = "killed"
             p.ready_time = max(p.ready_time, self.now())
-            pr = self.prof_hook
-            if pr is not None:
-                pr.on_kill(p, p.ready_time)
+            for o in self.observers:
+                o.on_kill(p, p.ready_time)
             p.state = ProcState.READY
             self._requeue(p)
 
@@ -613,16 +626,17 @@ class Engine:
     def step(self, horizon: Optional[int] = None) -> bool:
         """Dispatch one slice.  Returns False when nothing is runnable.
 
-        With ``horizon``, refuses to dispatch a slice that would start
-        after that virtual time -- the monitor uses this so that pumping
-        the machine "now" does not fast-forward through long DELAYs.
+        The engine's one dispatch body: :meth:`run` and
+        :meth:`run_while` drive it.  With ``horizon``, refuses to
+        dispatch a slice that would start after that virtual time --
+        the monitor uses this so that pumping the machine "now" does
+        not fast-forward through long DELAYs.
         """
-        ck = self._ckpt_pump
-        if ck is not None:
-            # Between slices, before this step's pick and fault pump:
-            # the exact state a restore reconstructs (see
-            # docs/architecture.md, "Checkpoint/restore").
-            ck(self)
+        observers = self.observers
+        if observers:
+            for o in observers:
+                o.between_slices(self)
+        fault_pump = self._fault_pump
         while True:
             if self._replay:
                 p, key = self._peek_replay()
@@ -642,7 +656,7 @@ class Engine:
                     # The pick was valid; re-index it for the next step.
                     self._requeue(p)
                 return False
-            if self._fault_pump is not None and self._fault_pump(key[0]):
+            if fault_pump is not None and fault_pump(key[0]):
                 # A timed fault fired at or before this slice's start;
                 # it may have killed/woken processes (including this
                 # one), so re-index the pick and re-pick.
@@ -661,8 +675,9 @@ class Engine:
         rt = p.ready_time
         ticks = clock.ticks
         start = rt if rt > ticks else ticks
-        if self.time_limit is not None and start > self.time_limit:
-            raise TimeLimitExceeded(self.time_limit)
+        limit = self.time_limit
+        if limit is not None and start > limit:
+            raise TimeLimitExceeded(limit)
         sh = self.sched_hook
         if sh is not None:
             # Recording appends; replay consumes-and-verifies (the start
@@ -670,88 +685,30 @@ class Engine:
             sh.on_dispatch(p.spawn_ordinal, start, p.name)
         if start > self._now:
             self._now = start
-        self._dispatch_seq += 1
-        p.last_dispatched = self._dispatch_seq
-        m = self.metrics
-        if m is not None and m.enabled:
-            m.counter("dispatches", pe=p.pe).inc()
+        seq = self._dispatch_seq + 1
+        self._dispatch_seq = seq
+        p.last_dispatched = seq
         if start > ticks:
             clock.ticks = start
-        pr = self.prof_hook
-        t_wall = time.perf_counter() if pr is not None else 0.0
-        self._run_slice(p, start)
-        self._current = None
-        if pr is not None:
-            # The slice just completed: its settle set p.ready_time to
-            # its end tick and left the new state/reason/deadline on
-            # the process.
-            pr.on_slice(p, start, p.ready_time, p.state, p.blocked_on,
-                        p.deadline, time.perf_counter() - t_wall)
+        if observers:
+            t_wall = time.perf_counter()
+            self._run_slice(p, start)
+            self._current = None
+            # The slice's settle set p.ready_time to its end tick and
+            # left the new state/reason/deadline on the process.
+            wall = time.perf_counter() - t_wall
+            for o in observers:
+                o.on_slice(p, start, p.ready_time, p.state, p.blocked_on,
+                           p.deadline, wall)
+        else:
+            self._run_slice(p, start)
+            self._current = None
         if p.exc is not None:
             exc, p.exc = p.exc, None
             self.shutdown()
             raise exc
         if self.on_idle_check is not None:
             self.on_idle_check()
-        return True
-
-    def _fast_eligible(self) -> bool:
-        """True when no per-slice hook is installed -- replay,
-        checkpoint pump, fault pump, schedule recording, profiling,
-        metrics, time limit, idle callback -- so :meth:`run` may
-        dispatch through :meth:`_step_fast` batches."""
-        m = self.metrics
-        return (self._indexed and not self._replay
-                and self._ckpt_pump is None
-                and self._fault_pump is None
-                and self.sched_hook is None
-                and self.prof_hook is None
-                and self.on_idle_check is None
-                and self.time_limit is None
-                and (m is None or not m.enabled))
-
-    def _step_fast(self, batch: int) -> bool:
-        """Dispatch up to ``batch`` slices with the hook tests hoisted
-        out of the loop (the caller checked :meth:`_fast_eligible`;
-        eligibility cannot change inside the batch -- hooks install at
-        boot, between runs, or via the replay path, all ineligible).
-
-        Selection and accounting mirror :meth:`step` exactly minus the
-        hook branches, so dispatch streams are identical -- and the
-        replay suite cross-checks that claim on every recorded run: the
-        recording dispatches through here while its replay (ineligible)
-        re-executes the same stream through :meth:`step`.  Returns
-        False when nothing was runnable, True when the batch was
-        exhausted with work remaining.
-        """
-        pop = self._pop_runnable
-        for _ in range(batch):
-            p, key = pop()
-            if p is None:
-                return False
-            if p.state is ProcState.BLOCKED:
-                # Deadline fired: resume with timed_out set.
-                p.timed_out = True
-                p.wake_info = None
-                p.ready_time = max(p.ready_time, p.deadline)
-                p.deadline = None
-                p.state = ProcState.READY
-            clock = p.clock
-            rt = p.ready_time
-            ticks = clock.ticks
-            start = rt if rt > ticks else ticks
-            if start > self._now:
-                self._now = start
-            self._dispatch_seq += 1
-            p.last_dispatched = self._dispatch_seq
-            if start > ticks:
-                clock.ticks = start
-            self._run_slice(p, start)
-            self._current = None
-            if p.exc is not None:
-                exc, p.exc = p.exc, None
-                self.shutdown()
-                raise exc
         return True
 
     @property
@@ -765,17 +722,10 @@ class Engine:
         On normal completion the remaining daemon (controller) processes
         are left blocked; call :meth:`shutdown` to reap them.
         """
+        step = self.step
         try:
             while True:
-                if self._fast_eligible():
-                    # Hookless runs (the common case) dispatch in
-                    # batches with the per-slice hook tests hoisted;
-                    # the trailing step() below re-confirms idleness
-                    # through the general path.
-                    while self._step_fast(1024):
-                        pass
-                progressed = self.step()
-                if progressed:
+                if step():
                     continue
                 if self._fault_pump is not None and self._fault_pump(None):
                     # Nothing runnable, but a timed fault was pending:

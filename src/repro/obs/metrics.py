@@ -10,8 +10,10 @@ exporters.
 Design constraints:
 
 * **zero-cost when disabled** -- every instrumentation site in the
-  engine guards on ``registry.enabled`` (a single attribute load and
-  boolean test) before touching any instrument, so an untraced,
+  run-time library guards on ``registry.enabled`` (a single attribute
+  load and boolean test) before touching any instrument, and the
+  engine's own counters come from :class:`EngineMetrics`, an engine
+  observer subscribed only while metrics are on, so an untraced,
   unmetered run does no metric work at all;
 * **deterministic snapshots** -- instruments are keyed by
   ``(family, sorted(labels))``; :meth:`MetricsRegistry.snapshot`
@@ -27,6 +29,9 @@ from __future__ import annotations
 
 import bisect
 from typing import Any, Dict, Iterable, List, Optional, Tuple
+
+from ..mmos.process import ProcState
+from ..mmos.scheduler import EngineObserver
 
 #: A canonicalized label set: sorted (key, value) pairs.
 LabelKey = Tuple[Tuple[str, Any], ...]
@@ -282,3 +287,25 @@ class MetricsRegistry:
 #: owner has no registry wired, so instrumentation sites can guard on
 #: ``metrics.enabled`` without a None check.
 NULL_REGISTRY = MetricsRegistry(enabled=False)
+
+
+class EngineMetrics(EngineObserver):
+    """The engine's metrics subscriber: per-PE ``dispatches`` and
+    ``slice_ticks`` (the charge of every non-final slice), and
+    ``blocks`` by block reason.  The VM subscribes it in
+    ``enable_metrics()`` and unsubscribes it in ``disable_metrics()``."""
+
+    def __init__(self, registry: MetricsRegistry):
+        self.registry = registry
+
+    def on_slice(self, p, start, end, state, reason, deadline, wall) -> None:
+        m = self.registry
+        m.counter("dispatches", pe=p.pe).inc()
+        if state is ProcState.DONE:
+            return
+        if end > start:
+            m.histogram("slice_ticks", pe=p.pe).observe(end - start)
+        if state is ProcState.BLOCKED:
+            # Reason strings carry dynamic detail after "("; keep the
+            # label cardinality bounded by the static prefix.
+            m.counter("blocks", reason=reason.split("(", 1)[0]).inc()

@@ -23,11 +23,12 @@ Wait states
 Zero virtual time
 -----------------
 
-The profiler is an engine hook (``engine.prof_hook``), a pure observer
-on the same channel as the race detector and the schedule recorder: it
-never charges ticks, never wakes or blocks anything, and never touches
-scheduling state.  With profiling off the cost is one attribute test
-per site; with it on, every hook is a few list appends.  The
+The profiler is an engine observer (on ``engine.observers``, beside the
+race detector, the checkpointer and the metrics subscriber): it sees
+spawn, wake, kill and slice-end events, never charges ticks, never
+wakes or blocks anything, and never touches scheduling state.  With
+profiling off it is not subscribed; with it on, every event is a few
+list appends.  The
 ``benchmarks/test_profile_overhead.py`` gate asserts bit-identical
 elapsed virtual time and trace streams with profiling on and off.
 """
@@ -38,6 +39,7 @@ from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 from ...mmos.process import KernelProcess, ProcState
+from ...mmos.scheduler import EngineObserver
 
 #: The six wait-state categories (stable slugs, used as metric labels).
 WAIT_LOCK = "lock-wait"
@@ -159,10 +161,10 @@ class _ProcRecord:
         self.pending: Optional[Tuple[Any, ...]] = None
 
 
-class CausalProfiler:
-    """Engine hook recording slices, wakes and attributed waits.
+class CausalProfiler(EngineObserver):
+    """Engine observer recording slices, wakes and attributed waits.
 
-    Install with ``engine.prof_hook = profiler`` (the VM's
+    Subscribe with ``engine.observers.append(profiler)`` (the VM's
     ``enable_profiling()`` does this).  All analysis -- accounting,
     rollups, the critical path -- reads the recorded data after the run;
     the hooks themselves only append.
@@ -172,7 +174,7 @@ class CausalProfiler:
         self._recs: Dict[int, _ProcRecord] = {}
         self._slice_seq = 0
 
-    # ------------------------------------------------------ engine hooks --
+    # ----------------------------------------------------- engine events --
 
     def _rec(self, p: KernelProcess) -> _ProcRecord:
         r = self._recs.get(p.pid)

@@ -4,11 +4,11 @@ archive, record the exit.
 The executor is where the service's three core guarantees live:
 
 * **Determinism** -- the VM is built from the catalog's pure plan plus
-  the spec's execution axes; the service adds only *pure observers*
-  (full trace stream, metrics, the kill hook on the engine's
-  ``on_idle_check`` seam, periodic checkpointing), so a service run's
-  virtual time and trace stream are bit-identical to the same spec run
-  standalone.
+  the spec's execution axes; the service adds only what never moves
+  virtual time (full trace stream, metrics, the kill hook on the
+  engine's ``on_idle_check`` seam, periodic checkpointing), so a
+  service run's virtual time and trace stream are bit-identical to the
+  same spec run standalone.
 * **Kill** -- a run is killed by setting its handle's event; the hook
   raises :class:`KilledByService` between engine slices, the engine's
   run loop shuts the VM down cleanly (reaping every simulated process)
@@ -102,9 +102,9 @@ def _install_kill_hook(vm: PiscesVM, handle: ExecutionHandle) -> None:
     """Arm the per-run kill seam on the engine's idle-check hook.
 
     The hook runs between dispatches on the engine thread and only
-    reads an Event, so it is a pure observer: virtual time is
-    untouched (it does disable the engine's fast batch path, which is
-    a host-speed matter only).
+    reads an Event until a kill is requested, so virtual time is
+    untouched; a kill raises out of the dispatch loop, which is why it
+    is a steering hook and not an engine observer.
     """
 
     def check() -> None:

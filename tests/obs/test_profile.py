@@ -41,7 +41,7 @@ PES = list(range(3, 11))    # small_flex(8) MMOS PEs
 def make_engine():
     eng = create_engine(small_flex(8))
     prof = CausalProfiler()
-    eng.prof_hook = prof
+    eng.observers.append(prof)
     return eng, prof
 
 
