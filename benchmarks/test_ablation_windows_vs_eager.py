@@ -18,15 +18,15 @@ Measured: total array bytes moved, and the partitioning task's share.
 
 The data-plane half of the ablation (``test_jacobi_tree_dataplane``,
 ``test_matmul_tree_dataplane``) runs the same partitioning-tree shapes
-for many sweeps/rounds under the three window data-plane paths
-(``reference`` / ``batched`` / ``fast``) plus an eager-shipping
-variant, and writes ``BENCH_windows_dataplane.json`` at the repo root:
+for many sweeps/rounds under the two window data-plane paths
+(``reference`` / ``fast``) plus an eager-shipping variant, and writes
+``BENCH_windows_dataplane.json`` at the repo root:
 
 * bytes forwarded *through* the partitioning task: eager vs windows
   (the paper's claim -- must be at least 2x lower with windows);
 * host wall-clock: cached fast path vs the per-row reference path
   (must be at least 30% faster on the Jacobi tree);
-* determinism: all three paths must agree bit-identically in virtual
+* determinism: both paths must agree bit-identically in virtual
   time (elapsed ticks and the full trace-event stream) -- the
   reference path is the oracle, exactly like PR 2's scan dispatcher.
 
@@ -436,7 +436,7 @@ def test_jacobi_tree_dataplane(report):
     args = (JN, JLEAVES, JSWEEPS)
     results = {}
     traces = {}
-    for path in ("reference", "batched", "fast"):
+    for path in ("reference", "fast"):
         r, wall, trace = _run_tree(build_jacobi_tree, args, path,
                                    traced=True)
         results[path] = _path_record(r, wall)
@@ -457,14 +457,13 @@ def test_jacobi_tree_dataplane(report):
     # Same physics both styles.
     assert results["fast"]["value"] == pytest.approx(eager["value"])
 
-    # Determinism: the fast and batched paths must be bit-identical to
-    # the per-row reference oracle in virtual time AND trace stream.
-    for path in ("batched", "fast"):
-        assert (results[path]["elapsed_ticks"]
-                == results["reference"]["elapsed_ticks"])
-        assert traces[path] == traces["reference"]
-        assert (results[path]["bytes_requested"]
-                == results["reference"]["bytes_requested"])
+    # Determinism: the fast path must be bit-identical to the per-row
+    # reference oracle in virtual time AND trace stream.
+    assert (results["fast"]["elapsed_ticks"]
+            == results["reference"]["elapsed_ticks"])
+    assert traces["fast"] == traces["reference"]
+    assert (results["fast"]["bytes_requested"]
+            == results["reference"]["bytes_requested"])
 
     # The paper's claim: windows keep array bytes out of the
     # partitioning task (only 32-byte window values flow through it).
@@ -483,7 +482,7 @@ def test_jacobi_tree_dataplane(report):
     # after the first sweep hits.
     assert results["fast"]["cache_hits"] >= JLEAVES * (JSWEEPS - 1)
     assert (results["fast"]["bytes_moved"]
-            < results["batched"]["bytes_moved"])
+            < results["fast"]["bytes_requested"])
 
     doc = {"n": JN, "leaves": JLEAVES, "sweeps": JSWEEPS,
            "paths": results, "eager": eager,
@@ -511,21 +510,20 @@ def test_jacobi_tree_dataplane(report):
 def test_matmul_tree_dataplane(report):
     args = (MN, MLEAVES, MROUNDS)
     results = {}
-    for path in ("reference", "batched", "fast"):
+    for path in ("reference", "fast"):
         r, wall, _ = _run_tree(build_matmul_tree, args, path,
                                root="MOWNER")
         results[path] = _path_record(r, wall)
 
-    for path in ("batched", "fast"):
-        assert (results[path]["elapsed_ticks"]
-                == results["reference"]["elapsed_ticks"])
-        assert results[path]["value"] == pytest.approx(
-            results["reference"]["value"])
+    assert (results["fast"]["elapsed_ticks"]
+            == results["reference"]["elapsed_ticks"])
+    assert results["fast"]["value"] == pytest.approx(
+        results["reference"]["value"])
 
     # B is re-read every round and never written: all re-reads hit.
     assert results["fast"]["cache_hits"] >= MLEAVES * (MROUNDS - 1)
     b_bytes = MN * MN * 8
-    saved = (results["batched"]["bytes_moved"]
+    saved = (results["fast"]["bytes_requested"]
              - results["fast"]["bytes_moved"])
     assert saved >= MLEAVES * (MROUNDS - 1) * b_bytes
 

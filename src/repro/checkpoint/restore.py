@@ -313,6 +313,14 @@ def restore_vm(path: Union[str, Path], registry=None) -> RestoredRun:
         raise CheckpointFormatError(
             f"unsupported checkpoint format {manifest.get('format')!r} "
             f"(this build reads format {FORMAT_VERSION})")
+    if manifest.get("window_path") == "batched":
+        # The snapshot counts that path's host data movement, which
+        # the fast path's reader cache changes, so the post-replay
+        # validation could never pass.
+        raise CheckpointFormatError(
+            f"{path}: written on the retired 'batched' window path; "
+            f"restore is not possible (rerun from the start: 'fast' "
+            f"gives the identical virtual time and trace stream)")
     config = config_from_dict(manifest["config"])
     # The resolved path/dispatcher choices are part of the checkpoint
     # identity: force them so the recovering environment's PISCES_*

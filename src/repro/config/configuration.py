@@ -35,7 +35,7 @@ DEFAULT_ACCEPT_DELAY = 1_000_000
 ENV_VARS: Dict[str, str] = {
     "PISCES_DISPATCHER": "dispatch picker: indexed, scan or replay",
     "PISCES_TASK_BODIES": "task-body vehicle: auto or callable",
-    "PISCES_WINDOW_PATH": "window data plane: fast, batched or reference",
+    "PISCES_WINDOW_PATH": "window data plane: fast or reference",
     "PISCES_ACCEPT_TIMEOUT": "system ACCEPT timeout in ticks",
     "PISCES_CHECKPOINT": "periodic checkpoint interval in ticks (0 = off)",
     "PISCES_CHECKPOINT_DIR": "directory receiving periodic .pckpt bundles",
@@ -175,11 +175,11 @@ class Configuration:
     #: each successive wait (see ``docs/architecture.md``).
     accept_retries: int = 0
     accept_backoff: float = 2.0
-    #: Window data-plane selection: "fast" (batched transfers + reader
-    #: cache), "batched" (no cache) or "reference" (the unbatched
-    #: per-row oracle).  "" defers to the ``PISCES_WINDOW_PATH``
-    #: environment variable, then to "fast".  Every path is bit-identical
-    #: in virtual time (see docs/architecture.md).
+    #: Window data-plane selection: "fast" (one transaction per block +
+    #: reader cache) or "reference" (the unbatched per-row oracle).  ""
+    #: defers to the ``PISCES_WINDOW_PATH`` environment variable, then
+    #: to "fast".  Both paths are bit-identical in virtual time (see
+    #: docs/architecture.md).
     window_path: str = ""
     #: Task-body vehicle: "auto" lets coroutine-style bodies (generator
     #: functions) suspend as coroutines at the KernelOp seam -- they
@@ -292,9 +292,9 @@ class Configuration:
             raise ConfigurationError("accept_retries must be >= 0")
         if self.accept_backoff < 1.0:
             raise ConfigurationError("accept_backoff must be >= 1")
-        if self.window_path not in ("", "fast", "batched", "reference"):
+        if self.window_path not in ("", "fast", "reference"):
             raise ConfigurationError(
-                f"window_path must be fast/batched/reference, "
+                f"window_path must be fast/reference, "
                 f"got {self.window_path!r}")
         if self.task_bodies not in ("", "auto", "callable"):
             raise ConfigurationError(

@@ -112,7 +112,7 @@ from .windows import (
 )
 
 #: Valid window data-plane selections (see Configuration.window_path).
-WINDOW_PATHS = ("fast", "batched", "reference")
+WINDOW_PATHS = ("fast", "reference")
 
 
 def resolve_window_path(config: Configuration) -> str:
@@ -1093,7 +1093,7 @@ class PiscesVM:
 
     # Every data-plane path below charges the identical virtual-time
     # cost (one window_transfer_cost, the same disk wait, one preempt),
-    # so fast/batched/reference runs are bit-identical in virtual time;
+    # so fast and reference runs are bit-identical in virtual time;
     # the paths differ only in host-level data movement.  This is the
     # same oracle pattern as the PR-2 scan dispatcher.
 
@@ -1195,16 +1195,14 @@ class PiscesVM:
         nbytes = w.nbytes
         self.engine.charge(window_transfer_cost(nbytes))
         yield from self._file_io_wait(w, write=False)
-        path = self.window_path
         hit = False
         cache = None
-        if path == "reference":
+        if self.window_path == "reference":
             data = self._window_read_reference(
                 store, w, self._requester_id(ctx, store))
             moved = nbytes
         else:
-            if path == "fast":
-                cache = self._requester_cache(ctx)
+            cache = self._requester_cache(ctx)
             entry = cache.lookup(w) if cache is not None else None
             txn = WindowTxn(op="read", window=w,
                             cached_generation=None if entry is None

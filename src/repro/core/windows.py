@@ -17,7 +17,7 @@ The data plane behind the pointers lives here too:
 
 * :class:`WindowTxn` / :class:`WindowTxnReply` -- the request/reply pair
   a window read or write puts on the owner's transaction queue.  The
-  batched path moves the whole rectangular block in one transaction
+  fast path moves the whole rectangular block in one transaction
   instead of one message per row.
 * per-array **generation counters** on :class:`ArrayStore` -- every
   write through the data plane bumps the backing array's generation and

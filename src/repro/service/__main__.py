@@ -51,7 +51,7 @@ def main(argv=None) -> int:
     ap.add_argument("--quantum", type=int, default=8,
                     help="fair-share DRR quantum in PEs (default 8)")
     ap.add_argument("--window-path", default="",
-                    choices=("", "fast", "batched", "reference"))
+                    choices=("", "fast", "reference"))
     ap.add_argument("--task-bodies", default="",
                     choices=("", "auto", "callable"))
     ap.add_argument("--log-requests", action="store_true")

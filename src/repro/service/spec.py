@@ -30,9 +30,14 @@ SPEC_FIELDS = ("app", "params", "fault_plan", "trace", "checkpoint_every",
 #: loads with the field dropped.
 _LEGACY_CORES = ("", "threaded", "coop")
 
+#: Retired window paths a stored spec may name, and the path it now
+#: runs on.  ``batched`` was ``fast`` without the reader cache: the
+#: same virtual time and trace stream, more bytes moved.
+_LEGACY_WINDOW_PATHS = {"batched": "fast"}
+
 #: Axes with a closed set of values ("" defers to the service default).
 _CHOICES = {
-    "window_path": ("", "fast", "batched", "reference"),
+    "window_path": ("", "fast", "reference"),
     "task_bodies": ("", "auto", "callable"),
 }
 
@@ -98,6 +103,9 @@ class RunSpec:
             raise InvalidRunSpec(
                 f"exec_core={core!r} is not one of "
                 f"{'/'.join(c or '<default>' for c in _LEGACY_CORES)}")
+        wp = d.get("window_path")
+        if wp in _LEGACY_WINDOW_PATHS:
+            d["window_path"] = _LEGACY_WINDOW_PATHS[wp]
         unknown = sorted(set(d) - set(SPEC_FIELDS))
         if unknown:
             raise InvalidRunSpec(

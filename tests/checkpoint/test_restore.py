@@ -10,7 +10,7 @@ from repro import PARENT, TaskRegistry, simple_configuration
 from repro.api import make_vm, restore_vm
 from repro.checkpoint import checkpoint_vm, find_latest_checkpoint, load_bundle
 from repro.core.tracing import TraceEventType
-from repro.errors import CheckpointError
+from repro.errors import CheckpointError, CheckpointFormatError
 
 ALL_TRACE = tuple(t.value for t in TraceEventType)
 
@@ -18,6 +18,12 @@ ALL_TRACE = tuple(t.value for t in TraceEventType)
 #: build on its thread-per-process core: its manifest and config say
 #: ``exec_core: threaded``.
 THREADED_BUNDLE = Path(__file__).with_name("data") / "threaded_core.pckpt"
+
+#: A mid-run bundle of the windowed Jacobi solver (``build_windows_
+#: registry(10, 2, 3)``) written by an earlier build on its retired
+#: ``batched`` window path.
+BATCHED_BUNDLE = (Path(__file__).with_name("data")
+                  / "batched_window_path.pckpt")
 
 
 def build_registry():
@@ -91,6 +97,17 @@ class TestRestoreIdentity:
         _, state2, psched2 = load_bundle(
             tmp_path / "ckpt" / "ckpt-0000000000001664-00000025.pckpt")
         assert (state2, psched2) == (state, psched)
+
+    def test_batched_window_path_bundle_is_refused(self):
+        """The bundle's state snapshot counts the retired path's data
+        movement, which the fast path's cache changes, so restore
+        refuses it with an error naming the path."""
+        from repro.apps.jacobi import build_windows_registry
+        manifest, _, _ = load_bundle(BATCHED_BUNDLE)
+        assert manifest["window_path"] == "batched"
+        with pytest.raises(CheckpointFormatError, match="'batched'"):
+            restore_vm(BATCHED_BUNDLE,
+                       registry=build_windows_registry(10, 2, 3))
 
     def test_checkpointing_is_a_pure_observer(self, tmp_path):
         """Virtual time and the trace stream are bit-identical with

@@ -13,7 +13,7 @@ def test_manifest_records_all_execution_axes():
         vm.shutdown()
     assert m["exec_core"] == "coop"
     assert m["task_bodies"] in ("auto", "callable")
-    assert m["window_path"] in ("fast", "batched", "reference")
+    assert m["window_path"] in ("fast", "reference")
     assert m["dispatcher"]
 
 

@@ -397,7 +397,7 @@ class TestManifest:
         man = json.loads((tmp_path / "manifest.json").read_text())
         assert man["profile"] is True
         assert man["dispatcher"] in ("indexed", "scan", "replay")
-        assert man["window_path"] in ("fast", "batched", "reference")
+        assert man["window_path"] in ("fast", "reference")
         assert man["repro_version"]
         assert man["elapsed_ticks"] == pr.elapsed
         assert "summary" in man["config"]

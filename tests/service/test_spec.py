@@ -16,7 +16,7 @@ class TestRoundTrip:
         s = RunSpec(app="chaos_jacobi", params={"n": 16, "sweeps": 2},
                     fault_plan="pisces-fault-plan v1\n", trace=True,
                     checkpoint_every=5000,
-                    window_path="batched", task_bodies="callable",
+                    window_path="reference", task_bodies="callable",
                     run_seed=42)
         assert RunSpec.from_dict(s.to_dict()) == s
 
@@ -31,6 +31,19 @@ class TestRoundTrip:
         rec = RunRecord.from_dict({"run_id": "r1", "tenant": "alice",
                                    "spec": d})
         assert rec.spec == RunSpec(app="jacobi", params={"n": 10})
+
+    def test_stored_batched_window_path_runs_on_fast(self):
+        """Specs stored before the ``batched`` window path was retired
+        load onto ``fast``: the same virtual time and trace stream."""
+        from repro.service.store import RunRecord
+        d = {"app": "jacobi", "window_path": "batched"}
+        assert RunSpec.from_dict(d) == RunSpec(app="jacobi",
+                                               window_path="fast")
+        rec = RunRecord.from_dict({"run_id": "r1", "tenant": "alice",
+                                   "spec": d})
+        assert rec.spec.window_path == "fast"
+        with pytest.raises(InvalidRunSpec, match="window_path"):
+            RunSpec(app="jacobi", window_path="batched")
 
     def test_dict_is_json_stable(self):
         import json
