@@ -22,7 +22,8 @@ committed baseline even though its wall times are not comparable.
 
 Gates on a full-size run:
 
-* indexed vs scan on ``sched_stress/large``: >= 2x wall speedup;
+* indexed vs scan on ``sched_stress/large``: >= 2x wall speedup
+  (median of 5 walls per leg);
 * indexed on ``sched_stress/large``: >= 10x dispatches/s over the
   committed rate of the retired thread-per-process core (16,414/s, the
   number the coroutine-core work set out to beat);
@@ -38,6 +39,7 @@ bodies) are recorded ungated.
 from __future__ import annotations
 
 import os
+import statistics
 import time
 from pathlib import Path
 
@@ -74,28 +76,32 @@ MIN_COOP_VS_BASELINE = 10.0
 # ------------------------------------------------------------- workloads --
 
 def sched_stress(n_procs: int, switches: int, dispatcher: str,
-                 n_pes: int = 8):
+                 n_pes: int = 8, trials: int = 1):
     """Pure engine churn: ``n_procs`` coroutine processes on ``n_pes``
     PEs, each cycling charge/preempt with a periodic deadline nap (the
-    heap re-key path)."""
-    eng = create_engine(small_flex(n_pes), dispatcher=dispatcher)
-    pes = sorted(eng.machine.pes)
+    heap re-key path).  Returns the median wall of ``trials`` runs."""
+    walls, histories = [], set()
+    for _ in range(trials):
+        eng = create_engine(small_flex(n_pes), dispatcher=dispatcher)
+        pes = sorted(eng.machine.pes)
 
-    def body():
-        for i in range(switches):
-            yield co_charge(3)
-            yield co_preempt(2)
-            if i % 5 == 4:
-                yield co_block("nap", deadline=eng.now() + 7)
+        def body(eng=eng):
+            for i in range(switches):
+                yield co_charge(3)
+                yield co_preempt(2)
+                if i % 5 == 4:
+                    yield co_block("nap", deadline=eng.now() + 7)
 
-    for k in range(n_procs):
-        eng.spawn(f"w{k}", pes[k % len(pes)], body)
-    t0 = time.perf_counter()
-    eng.run()
-    wall = time.perf_counter() - t0
-    dispatches, elapsed = eng.dispatch_count, eng.machine.elapsed()
-    eng.shutdown()
-    return wall, dispatches, elapsed
+        for k in range(n_procs):
+            eng.spawn(f"w{k}", pes[k % len(pes)], body)
+        t0 = time.perf_counter()
+        eng.run()
+        walls.append(time.perf_counter() - t0)
+        histories.add((eng.dispatch_count, eng.machine.elapsed()))
+        eng.shutdown()
+    assert len(histories) == 1, f"sched_stress trials diverged: {histories}"
+    dispatches, elapsed = histories.pop()
+    return statistics.median(walls), dispatches, elapsed
 
 
 def build_backlog_registry(flooders: int, rounds: int,
@@ -227,7 +233,7 @@ def _matrix(smoke: bool):
         pipe_small, pipe_large = (3, 8), (5, 20)
         back_small, back_large = (3, 3, 10), (4, 4, 25)
         tr_small, tr_stress = (4, 20), (6, 40)
-        trials = 1
+        trials = stress_trials = 1
     else:
         stress_small, stress_large = (24, 15), (120, 30)
         stress_xl = (1024, 10, 66)     # 1024 procs across 64 MMOS PEs
@@ -237,14 +243,17 @@ def _matrix(smoke: bool):
         back_small, back_large = (6, 4, 12), (16, 8, 30)
         tr_small, tr_stress = (12, 200), (24, 1000)
         trials = 3
+        # The MIN_COOP_VS_BASELINE gate rests on this ~20 ms wall: a
+        # median of five keeps one noisy run from deciding it.
+        stress_trials = 5
     ab = ("scan", "indexed")
     return [
         ("sched_stress", "small",
          lambda d: sched_stress(*stress_small, d),
          {"n_procs": stress_small[0]}, ab, 1),
         ("sched_stress", "large",
-         lambda d: sched_stress(*stress_large, d),
-         {"n_procs": stress_large[0]}, ab, 1),
+         lambda d, t=stress_trials: sched_stress(*stress_large, d, trials=t),
+         {"n_procs": stress_large[0]}, ab, stress_trials),
         ("sched_stress_xl", "xl",
          lambda d: sched_stress(stress_xl[0], stress_xl[1], d,
                                 n_pes=stress_xl[2]),

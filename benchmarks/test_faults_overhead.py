@@ -14,7 +14,11 @@ them.  This benchmark proves it two ways:
 
 ``ENGINE_BENCH_SMOKE`` shrinks sizes; the baseline was recorded at full
 size, so the smoke run checks self-identity (two plan-less runs agree)
-instead of baseline identity.  Writes ``BENCH_faults_overhead.json``.
+instead of baseline identity.  As in the engine-throughput record,
+smoke gate keys carry an ``@smoke`` suffix and a full-size run stamps
+the smoke-size virtual times into its record too, so ``compare.py``
+gates a smoke run exactly against the committed full-size record.
+Writes ``BENCH_faults_overhead.json``.
 """
 
 from __future__ import annotations
@@ -92,13 +96,18 @@ def test_no_plan_is_bit_identical_to_baseline(report):
             f"plan-less wall clock regressed x{ratio:.3f} "
             f"(> x{MAX_WALL_REGRESSION}) on sched_stress/large")
 
+    suffix = "@smoke" if SMOKE else ""
+    virtual = {f"{r['workload']}/{r['size']}{suffix}": r["virtual_elapsed"]
+               for r in rows}
+    if not SMOKE:
+        virtual.update({f"{w}/{size}@smoke": runner("indexed")[2]
+                        for w, size, runner, *_ in eng_bench._matrix(True)})
     write_bench(make_record(
         "faults_overhead", smoke=SMOKE,
-        virtual={f"{r['workload']}/{r['size']}": r["virtual_elapsed"]
-                 for r in rows},
+        virtual=virtual,
         wall_ratios=({"sched_stress/large": wall_row["ratio"]}
                      if wall_row else {}),
-        wall_seconds={f"{r['workload']}/{r['size']}": r["wall_s"]
+        wall_seconds={f"{r['workload']}/{r['size']}{suffix}": r["wall_s"]
                       for r in rows},
         compared_to_baseline=compare_baseline,
         max_wall_regression=MAX_WALL_REGRESSION,
