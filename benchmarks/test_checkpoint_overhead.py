@@ -1,10 +1,10 @@
 """Checkpointing overhead: zero virtual time, bounded wall time.
 
-The periodic checkpointer (``engine._ckpt_pump``, see
-:mod:`repro.checkpoint.policy`) runs between dispatches and serializes
-the VM through the same digest pipeline restore-validation uses.  It
-must be a pure observer; this benchmark proves the contract per
-workload:
+The periodic checkpointer (an engine observer on ``engine.observers``,
+see :mod:`repro.checkpoint.policy`) runs between dispatches and
+serializes the VM through the same digest pipeline restore-validation
+uses.  It must be a pure observer; this benchmark proves the contract
+per workload:
 
 * **virtual identity** -- elapsed ticks, dispatch count *and the full
   trace-event stream* are bit-identical with periodic checkpointing on

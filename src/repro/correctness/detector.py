@@ -154,10 +154,10 @@ class RaceDetector(EngineObserver):
     """Vector clocks + locksets over one VM's run.
 
     Subscribed to the engine's observer list (spawn and wake edges) and
-    threaded through the run-time library's instrumentation sites; ``None`` everywhere when
-    detection is off.  ``mode`` selects the reporting channel:
-    ``"record"`` collects (default), ``"warn"`` also emits a
-    :class:`~repro.errors.RaceWarning`, ``"raise"`` raises
+    threaded through the run-time library's instrumentation sites;
+    ``None`` everywhere when detection is off.  ``mode`` selects the
+    reporting channel: ``"record"`` collects (default), ``"warn"`` also
+    emits a :class:`~repro.errors.RaceWarning`, ``"raise"`` raises
     :class:`~repro.errors.RaceError` at the detecting access.
     """
 

@@ -38,12 +38,13 @@ variable (``indexed`` or ``scan``).
 
 This module holds only scheduling *policy*: the pickers, the dispatch
 keys, the steering hooks, the observer list, slice settling and the
-``step``/``run``/``shutdown`` loops.  How a dispatched process actually runs its slice is the
-execution vehicle's job, :class:`repro.mmos.coop.CoopEngine`, which
-:func:`create_engine` builds: coroutine bodies resume by a plain
-function call on the engine thread, callable bodies on a pinned worker
-thread.  Committed golden digests (``tests/integration/
-test_golden_digests.py``) pin the history that vehicle produces.
+``step``/``run``/``shutdown`` loops.  How a dispatched process
+actually runs its slice is the execution vehicle's job,
+:class:`repro.mmos.coop.CoopEngine`, which :func:`create_engine`
+builds: coroutine bodies resume by a plain function call on the engine
+thread, callable bodies on a pinned worker thread.  Committed golden
+digests (``tests/integration/test_golden_digests.py``) pin the history
+that vehicle produces.
 
 ``step`` is the one dispatch body; ``run`` and ``run_while`` drive it.
 What a run does besides dispatching comes in two kinds.  Hooks that
@@ -146,7 +147,7 @@ class Engine:
     """The MMOS scheduler/dispatcher policy for one machine.
 
     Everything that decides *what runs next and when* (picker, keys,
-    hooks, slice accounting) lives here; the execution vehicle
+    hooks, observers, slice accounting) lives here; the execution vehicle
     (:class:`repro.mmos.coop.CoopEngine`) supplies the handoff:
     ``_launch``, :meth:`_run_slice`, :meth:`_yield`,
     :meth:`_wait_for_grant` and ``_drain_processes``.

@@ -84,7 +84,7 @@ def test_profile_is_dispatcher_and_window_path_independent(
     assert indexed == scan, (
         f"{name}/{window_path}: profile diverged between dispatchers")
 
-    # The profiler's prof_hook is body-form-agnostic: callable bodies
+    # The profiler's engine events are body-form-agnostic: callable bodies
     # on worker threads must reproduce the coroutine profile bit for bit.
     callable_ = _run(fn, {**base, "PISCES_DISPATCHER": "indexed",
                           "PISCES_TASK_BODIES": "callable"})
