@@ -46,16 +46,10 @@ thread, callable bodies on a pinned worker thread.  Committed golden
 digests (``tests/integration/test_golden_digests.py``) pin the history
 that vehicle produces.
 
-``step`` is the one dispatch body; ``run`` and ``run_while`` drive it.
-What a run does besides dispatching comes in two kinds.  Hooks that
-*steer* it keep their own slots: ``sched_hook`` (record/replay),
-``_fault_pump`` (fault injection), ``on_idle_check`` (the service's kill
-seam) and ``time_limit``.  Everything that only *watches* it -- the race
-detector, the causal profiler, the periodic checkpointer, the metrics
-counters -- is an :class:`EngineObserver` on ``engine.observers`` and
-sees one fixed event set: spawn, wake, kill, between-slices and
-slice-end.  Each event site costs one truthiness test of that list, so
-an unobserved run pays nothing else.
+``step`` is the one dispatch body (``run``/``run_while`` drive it).
+Hooks that *steer* a run keep their own slots (``sched_hook``,
+``_fault_pump``, ``on_idle_check``, ``time_limit``); everything that
+only *watches* it is an :class:`EngineObserver` on ``engine.observers``.
 """
 
 from __future__ import annotations
